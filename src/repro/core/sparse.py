@@ -23,19 +23,23 @@ derived from them.  Three consumption paths exist:
    cell budget) — :func:`repro.core.distributed.solve_distributed`
    accepts a sparse instance through this bridge, making the dense
    phase machinery available *bit-for-bit* on small instances.
-2. ``sub_instance(n)`` materializes only SBS ``n``'s local view: an
-   ``N=1`` dense block over its connected groups and candidate
-   contents.  The block is exactly what ``P_n`` of Eq. 10 sees — the
-   dual decomposition never looks outside the SBS's reach.
+2. SBS ``n``'s local view spans its connected groups and candidate
+   contents — exactly what ``P_n`` of Eq. 10 sees; the dual
+   decomposition never looks outside the SBS's reach.
+   ``pair_subproblem(n)`` stores it as ``(P_n,)`` vectors over the
+   SBS's demand pairs (a :class:`~repro.core.subproblem.PairSubproblem`);
+   ``sub_instance(n)`` materializes it as an ``N=1`` dense block,
+   zero-padded to ``(U_n, F_n)``.
 3. :func:`solve_distributed_sparse` runs the paper's Gauss-Seidel sweep
-   (Algorithm 1) over those local blocks, reusing
-   :func:`repro.core.subproblem.solve_subproblem` verbatim, with the
-   base-station aggregate kept as a vector over the demand's nonzeros
-   instead of a ``(U, F)`` matrix.  Per-phase work is ``O(nnz)``.
+   (Algorithm 1) over those local views, with the base-station
+   aggregate kept as a vector over the demand's nonzeros instead of a
+   ``(U, F)`` matrix.  The batched oracle solves the pair views, so
+   per-phase work is ``O(P_n)`` per dual iteration; the reference
+   oracle tiers solve the padded blocks.
 
 Equivalence with the dense solver
 ---------------------------------
-Each local block contains the SBS's demand-support contents *plus* the
+Each local view contains the SBS's demand-support contents *plus* the
 ``C_n`` lowest-indexed contents outside the support, so the caching
 subproblem's zero-multiplier filler (see ``_select_cache_set``) picks
 exactly the files the dense solver would: cache sets match the dense
@@ -46,7 +50,7 @@ summation trees differ); ``constant_offset`` re-anchors each local
 objective on the dense absolute scale so the dual ascent's relative
 tolerances see the same magnitudes.  The parity suite pins both: the
 densify bridge is bit-for-bit, the compact solver is cross-checked
-set-exact on caches and tight-tolerance on costs.
+set-exact on caches, bit-exact on routing and tight-tolerance on costs.
 """
 
 from __future__ import annotations
@@ -63,7 +67,7 @@ from .convergence import CostHistory, PhaseRecord
 from .distributed import DistributedConfig
 from .problem import ProblemInstance
 from .solution import ConstraintViolation, FeasibilityReport, Solution
-from .subproblem import SubproblemWorkspace, solve_subproblem
+from .subproblem import PairSubproblem, SubproblemWorkspace, solve_subproblem
 
 __all__ = [
     "SparseProblemInstance",
@@ -400,12 +404,16 @@ class SparseProblemInstance:
             raise ValidationError(f"SBS index {sbs} out of range [0, {self.num_sbs})")
 
     def sbs_index(self, sbs: int) -> SBSIndex:
-        """The (cached) integer index structure of one SBS's local view."""
+        """The integer index structure of one SBS's local view.
+
+        Built afresh on each call, in ``O(P_n + F_n)``, and not memoized:
+        the indexes of all SBSs together are the demand's size times its
+        reach, several times the instance itself, and an instance that
+        memoized them would hold that for as long as it lives.  Callers
+        that need an index repeatedly keep it (the sparse solver builds
+        each SBS's once per run).
+        """
         self._check_sbs(sbs)
-        indexes = self._cached("sbs_indexes", lambda: {})
-        found = indexes.get(sbs)
-        if found is not None:
-            return found
         indptr, csc_groups, csc_cost = self._reach_csc()
         groups = csc_groups[indptr[sbs] : indptr[sbs + 1]]
         link_costs = csc_cost[indptr[sbs] : indptr[sbs + 1]]
@@ -447,7 +455,6 @@ class SparseProblemInstance:
         )
         for array in (groups, files, pair_ids, local_flat, pair_weight, pair_link_weight):
             array.setflags(write=False)
-        indexes[sbs] = index
         return index
 
     # ------------------------------------------------------------------
@@ -549,6 +556,41 @@ class SparseProblemInstance:
             bs_cost=self.bs_cost[index.groups].copy(),
         )
         return problem, index
+
+    def pair_subproblem(self, sbs: int) -> PairSubproblem:
+        """SBS ``n``'s local view over its demand pairs only.
+
+        The same local groups, contents, coefficients and caps as
+        :meth:`sub_instance`, stored as ``(P_n,)`` vectors over the
+        SBS's reachable demand pairs (in the block's row-major order)
+        instead of a zero-padded ``(U_n, F_n)`` block.  Raises when the
+        SBS reaches no demand pair.
+        """
+        return self._pair_subproblem(self.sbs_index(sbs))
+
+    def _pair_subproblem(self, index: SBSIndex) -> PairSubproblem:
+        sbs = index.sbs
+        if index.pair_ids.size == 0:
+            raise ValidationError(
+                f"SBS {sbs} reaches no demand pair; its local subproblem is empty"
+            )
+        num_files = index.files.size
+        item_row = index.local_flat // num_files
+        indptr, _, csc_cost = self._reach_csc()
+        bs_cost = self.bs_cost[index.groups][item_row]
+        # The block's savings margin (d_hat[u] - d[n, u]) * l[n, u], l = 1.
+        margin = bs_cost - csc_cost[indptr[sbs] : indptr[sbs + 1]][item_row]
+        return PairSubproblem(
+            demand=index.pair_weight,
+            coefficients=-margin * index.pair_weight,
+            bs_cost=bs_cost,
+            item_row=item_row,
+            item_file=index.local_flat - item_row * num_files,
+            num_rows=index.groups.size,
+            num_files=num_files,
+            capacity=index.capacity,
+            bandwidth=float(self.bandwidth[sbs]),
+        )
 
     # ------------------------------------------------------------------
     # Reporting
@@ -838,24 +880,28 @@ def solve_distributed_sparse(
 ) -> SparseDistributedResult:
     """Run Algorithm 1's Gauss-Seidel sweep on the compact representation.
 
-    Per phase, the active SBS materializes only its local ``(U_n, F_n)``
-    block, solves ``P_n`` with the stock
-    :func:`~repro.core.subproblem.solve_subproblem` (one shared
-    workspace, ``constant_offset`` anchoring the local objective on the
-    dense scale), and uploads a vector over its reachable demand pairs;
-    the base station refreshes the aggregate on exactly those pairs and
-    re-evaluates the system cost in ``O(nnz)``.  Convergence uses the
-    same relative-cost test as the dense optimizer, and the run emits
-    the same ``run_start`` / ``phase`` / ``iteration`` / ``run_end``
-    trace events (tagged ``sparse=True``) so ``repro-trace validate``
-    applies unchanged.
+    Each SBS's pair vectors are built once per run
+    (:meth:`SparseProblemInstance.pair_subproblem`).  Per phase, the
+    active SBS solves ``P_n`` on them with
+    :func:`~repro.core.subproblem.solve_subproblem` — a ``(P_n,)``
+    aggregate of the other SBSs' routing in, ``(P_n,)`` routing out, one
+    workspace sized once to the largest ``P_n``, ``constant_offset``
+    anchoring the local objective on the dense scale — and uploads that
+    vector over its reachable demand pairs; the base station refreshes
+    the aggregate on exactly those pairs and re-evaluates the system
+    cost in ``O(nnz)``.  The reference oracle tiers (``fast=False``,
+    ``oracle="hoisted"``) solve the zero-padded
+    :meth:`SparseProblemInstance.sub_instance` blocks instead.  Convergence uses the same relative-cost test as the
+    dense optimizer, and the run emits the same ``run_start`` /
+    ``phase`` / ``iteration`` / ``run_end`` trace events (tagged
+    ``sparse=True``) so ``repro-trace validate`` applies unchanged.
 
     Unsupported dense features raise: Jacobi mode, price coordination,
     restarts, privacy and fault injection all require the dense
     machinery — densify through :meth:`SparseProblemInstance.to_dense`
     for those (guarded by the cell budget).  At city scale prefer
     ``SubproblemConfig(polish=False)``: the swap-polish trial buffers
-    are the one allocation quadratic in the local block size.
+    are ``(32, P_n)``, the largest allocation of a solve.
     """
     config = config or DistributedConfig()
     if config.mode != "gauss-seidel":
@@ -882,12 +928,28 @@ def solve_distributed_sparse(
             )
 
     indexes = [instance.sbs_index(n) for n in range(num_sbs)]
+    # The batched oracle solves each SBS's pair vectors, built once per
+    # run; the reference tiers solve zero-padded sub_instance() blocks.
+    pair_native = config.subproblem.resolved_oracle() == "batched"
+    views = [
+        instance._pair_subproblem(index) if pair_native and index.pair_ids.size else None
+        for index in indexes
+    ]
+    # One workspace sized to the largest solve: no phase re-allocates it.
+    workspace = SubproblemWorkspace(
+        items=max(
+            (
+                index.pair_ids.size if pair_native else index.groups.size * index.files.size
+                for index in indexes
+            ),
+            default=1,
+        )
+    )
     aggregate = _PairAggregate(instance, indexes)
     f1_terms = np.zeros(num_sbs)
     caching: List[np.ndarray] = [np.empty(0, dtype=np.int64) for _ in range(num_sbs)]
     local_caching: List[Optional[np.ndarray]] = [None] * num_sbs
     multipliers: List[Optional[np.ndarray]] = [None] * num_sbs
-    workspace: Optional[SubproblemWorkspace] = None
     pair_bs_weight = instance.pair_bs_weight()
 
     history = CostHistory(initial_cost=instance.max_cost())
@@ -933,19 +995,19 @@ def solve_distributed_sparse(
                 index = indexes[sbs]
                 stats: Optional[Dict[str, float]] = None
                 if index.pair_ids.size:
-                    sub_problem, _ = instance.sub_instance(sbs)
-                    block = np.zeros((index.groups.size, index.files.size))
                     own = aggregate.reports[aggregate.slice_of(sbs)]
                     others = aggregate.values[index.pair_ids] - own
                     np.clip(others, 0.0, None, out=others)
-                    block.ravel()[index.local_flat] = others
-                    if workspace is None:
-                        perf.count("sparse.workspace_allocs")
-                        workspace = SubproblemWorkspace(sub_problem)
+                    if pair_native:
+                        local, local_others = views[sbs], others
+                    else:
+                        local, _ = instance.sub_instance(sbs)
+                        local_others = np.zeros((index.groups.size, index.files.size))
+                        local_others.ravel()[index.local_flat] = others
                     solution = solve_subproblem(
-                        sub_problem,
+                        local,
                         0,
-                        block,
+                        local_others,
                         config.subproblem,
                         initial_multipliers=(
                             multipliers[sbs] if config.warm_start else None
@@ -954,7 +1016,9 @@ def solve_distributed_sparse(
                         workspace=workspace,
                         constant_offset=index.bs_offset,
                     )
-                    report = solution.routing.ravel()[index.local_flat].copy()
+                    report = solution.routing.ravel()
+                    if not pair_native:
+                        report = report[index.local_flat]
                     aggregate.reports[aggregate.slice_of(sbs)] = report
                     aggregate.refresh(index.pair_ids)
                     f1_terms[sbs] = float(np.dot(index.pair_link_weight, report))

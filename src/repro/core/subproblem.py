@@ -25,26 +25,43 @@ optional local-search polish swaps files in/out of the best cache set
 until no single swap improves the cost, and an exhaustive solver is
 provided for validating optimality on tiny instances.
 
-Two oracle implementations back the dual ascent:
+Three oracle tiers back the dual ascent (``SubproblemConfig.oracle``):
 
-* the **fast path** (``SubproblemConfig.fast=True``, the default) hoists
-  everything that does not change across dual iterations — routing cost
-  coefficients, knapsack weights, residual caps, the tie-break filler
-  order — out of the loop, validates arrays once at this API boundary
-  only, and reuses the preallocated buffers of a
-  :class:`SubproblemWorkspace`;
-* the **legacy path** (``fast=False``) routes every dual iteration
+* the **batched** tier (the ``fast=True`` default) is one dual-ascent
+  kernel over an *item vector*.  An item is one routing variable
+  ``y[u, f]``; it carries its knapsack weight ``lambda[u, f]``, its
+  routing coefficient, its residual cap and the id of its local file.
+  The caching subproblem keeps its ``(F,)`` cache vector and gets its
+  per-file multiplier sums by ``np.bincount`` over the item -> file map;
+  every mask, knapsack row and subgradient step runs over the items
+  only, in preallocated :class:`SubproblemWorkspace` buffers.  The
+  kernel has two callers:
+
+  - a dense :class:`~repro.core.problem.ProblemInstance`, whose items
+    are all ``U * F`` cells in C order — the whole block, bit for bit
+    the same vectors as the reference tiers see;
+  - a :class:`PairSubproblem`, whose items are the ``P`` demand pairs
+    one SBS can serve (the sparse solver builds one per SBS with
+    :meth:`~repro.core.sparse.SparseProblemInstance.pair_subproblem`).
+    A cell without demand has routing coefficient and knapsack weight
+    zero: it is never profitable, so its routing and its multiplier stay
+    exactly ``0.0`` on every dual iterate, and dropping it changes no
+    cache set, routing value or multiplier.
+* the **hoisted** tier (``oracle="hoisted"``) hoists the same loop
+  invariants but makes one scalar knapsack call per oracle evaluation;
+* the **legacy** tier (``fast=False``) routes every dual iteration
   through the public, validating helpers (:func:`cache_subproblem`,
-  :func:`routing_subproblem`).  It is kept as the reference baseline for
-  the perf benchmarks and is cross-checked bit-for-bit against the fast
-  path in the tests.
+  :func:`routing_subproblem`).
+
+The hoisted and legacy tiers take dense instances only; they are the
+references the batched tier is cross-checked against bit for bit.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import itertools
-from typing import Callable, Optional, Tuple
+from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
 
@@ -52,7 +69,7 @@ from .. import perf
 from .._validation import as_float_array, check_positive_int
 from ..exceptions import ValidationError
 from ..solvers.fractional_knapsack import KnapsackBatchWorkspace, solve_fractional_knapsack
-from ..solvers.subgradient import StepSchedule, SubgradientResult, subgradient_ascent
+from ..solvers.subgradient import StepSchedule, subgradient_ascent
 from .problem import ProblemInstance
 from .routing import optimal_routing_for_sbs, residual_caps
 
@@ -60,6 +77,7 @@ __all__ = [
     "SubproblemConfig",
     "SubproblemSolution",
     "SubproblemWorkspace",
+    "PairSubproblem",
     "solve_subproblem",
     "solve_subproblem_exhaustive",
     "cache_subproblem",
@@ -70,7 +88,7 @@ __all__ = [
 # vectors: improving passes usually accept a trial from the first chunk
 # (the scalar loop would have stopped there too), so later chunks are
 # never materialized, and the chunk size bounds the trial scratch
-# buffers preallocated in :class:`SubproblemWorkspace`.
+# buffers of :class:`SubproblemWorkspace`.
 _TRIAL_CHUNK = 32
 
 
@@ -138,100 +156,150 @@ class SubproblemSolution:
     ``cost`` is the *local objective* ``f_n`` of Eq. 10 (it contains the
     constant BS term induced by ``y_{-n}``, so it is comparable across
     candidate policies of the same SBS but not across SBSs).
+
+    The routing and the multipliers have one entry per item of the
+    solve: ``U * F`` cells shaped ``(U, F)`` for a dense
+    :class:`~repro.core.problem.ProblemInstance`, ``P`` demand pairs
+    shaped ``(P,)`` for a :class:`PairSubproblem`.
     """
 
     caching: np.ndarray  # (F,)
-    routing: np.ndarray  # (U, F)
+    routing: np.ndarray  # (U, F) cells, or (P,) pairs
     cost: float
     best_dual: float
     dual_history: Tuple[float, ...]
     iterations: int
     converged: bool
-    multipliers: Optional[np.ndarray] = None  # (U, F) final dual iterate
+    multipliers: Optional[np.ndarray] = None  # final dual iterate, shaped like routing
+
+
+@dataclasses.dataclass(frozen=True)
+class PairSubproblem:
+    """One SBS's ``P_n`` over an item vector (``N = 1``).
+
+    The items are cells of the SBS's ``(num_rows, num_files)`` block in
+    row-major order.  The sparse solver keeps only the demand pairs the
+    SBS can serve (cells without demand are not items; see the module
+    docstring for why that is exact), and :func:`solve_subproblem` takes
+    such a view with ``sbs=0`` and a ``(P,)`` aggregate of the other
+    SBSs' routing on the same pairs, returning ``(P,)`` routing and
+    multipliers.  The dense batched tier solves the full grid of a
+    :class:`~repro.core.problem.ProblemInstance` as a view whose items
+    are all ``U * F`` cells.
+    """
+
+    demand: np.ndarray  # (P,) lambda of each pair: the knapsack weights
+    coefficients: np.ndarray  # (P,) routing coefficient -(d_hat[u] - d[n, u]) * lambda
+    bs_cost: np.ndarray  # (P,) d_hat[u] of each pair's group
+    item_row: np.ndarray  # (P,) block row (local group) of each pair
+    item_file: np.ndarray  # (P,) block column (local content) of each pair
+    num_rows: int  # U_n, local groups
+    num_files: int  # F_n, length of the cache vector
+    capacity: int  # floor(C_n)
+    bandwidth: float  # B_n
+
+    @property
+    def num_items(self) -> int:
+        """Number of items ``P``."""
+        return int(self.demand.size)
+
+    def file_sums(self, values: np.ndarray) -> np.ndarray:
+        """Per-file sums of an item vector, bit for bit
+        ``np.add.reduce(block, axis=0)`` of its zero-padded block.
+
+        With two or more files that reduce adds the rows one after
+        another, which is what ``bincount`` does over row-major items;
+        with one file it is numpy's pairwise sum down the single column,
+        so the items are put back into that column first.
+        """
+        if self.num_files > 1:
+            return np.bincount(self.item_file, weights=values, minlength=self.num_files)
+        column = np.zeros(self.num_rows)
+        column[self.item_row] = values
+        return np.add.reduce(column, keepdims=True)
 
 
 class SubproblemWorkspace:
     """Preallocated scratch buffers for the fast subproblem oracles.
 
-    One workspace holds every ``(U, F)``-sized buffer the dual-ascent
-    inner loop needs, so a caller that solves repeatedly — an
-    :class:`~repro.core.distributed.SBSAgent` runs one solve per
-    Gauss-Seidel round — pays the allocations once per run instead of
-    once per dual iteration.  The batched oracle additionally keeps its
-    2-row :class:`~repro.solvers.fractional_knapsack.KnapsackBatchWorkspace`
-    (row 0: the dual routing subproblem, row 1: primal recovery) and the
-    flat multiplier/subgradient iterates here, so a whole dual iteration
-    runs without allocating.
+    One workspace holds every item-sized buffer the dual-ascent inner
+    loop needs — one float per routing variable: ``U * F`` cells on a
+    dense instance, ``P`` pairs on a :class:`PairSubproblem` — plus the
+    batched tier's 2-row
+    :class:`~repro.solvers.fractional_knapsack.KnapsackBatchWorkspace`
+    (row 0: the dual routing subproblem, row 1: primal recovery), so a
+    whole dual iteration runs without allocating and a caller that
+    solves repeatedly pays the allocations once.
 
-    A workspace adapts to the problem shape it is used with:
-    :func:`solve_subproblem` calls :meth:`ensure_shape`, which
-    re-allocates every buffer when the ``(U, F)`` shape changed since
-    the last solve (sweep cells of different sizes can safely share one
-    workspace).
+    The storage only grows.  :func:`solve_subproblem` calls
+    :meth:`reserve` with the item count of each solve, which re-cuts the
+    buffers and allocates only when that count exceeds every earlier one
+    — so a workspace sized up front to the largest solve (the sparse
+    solver sizes one to its largest pair count) never re-allocates, and
+    sweep cells of different shapes can safely share one.  Every real
+    allocation is counted under the ``subproblem.workspace_allocs`` perf
+    counter.
     """
 
     __slots__ = (
-        "shape",
+        "items",
         "caps",
-        "effective_caps",
-        "costs_flat",
-        "priced_mu_flat",
-        "mu_flat",
-        "subgrad_flat",
-        "prod_flat",
-        "aggregated",
+        "priced_mu",
+        "mu",
+        "subgrad",
+        "prod",
+        "masked_caps",
         "batch_costs",
-        "batch_caps",
         "knapsack",
+        "_store",
         "_trial_prod",
         "_trial_scratch",
     )
 
-    def __init__(self, problem: ProblemInstance) -> None:
-        self._allocate((problem.num_groups, problem.num_files))
+    def __init__(self, problem: Optional[ProblemInstance] = None, *, items: int = 1) -> None:
+        if problem is not None:
+            items = problem.num_groups * problem.num_files
+        self.items = 0
+        self._store = np.empty((8, 0))
+        self.reserve(items)
 
-    def _allocate(self, shape: Tuple[int, int]) -> None:
-        size = shape[0] * shape[1]
-        self.shape = shape
-        self.caps = np.empty(shape)
-        self.effective_caps = np.empty(shape)
-        self.costs_flat = np.empty(size)
-        self.priced_mu_flat = np.empty(size)
-        self.mu_flat = np.empty(size)
-        self.subgrad_flat = np.empty(size)
-        self.prod_flat = np.empty(size)
-        self.aggregated = np.empty(shape[1])
-        self.batch_costs = np.empty((2, size))
-        self.batch_caps = np.empty((2, size))
-        self.knapsack = KnapsackBatchWorkspace(2, size)
-        # The polish trial buffers are (_TRIAL_CHUNK, U*F)-sized — by far
-        # the largest scratch in the workspace — and are only touched when
-        # the polish pass actually evaluates swap candidates, so they are
-        # allocated lazily; sparse-path solves with polish disabled never
-        # pay for them.
-        self._trial_prod: Optional[np.ndarray] = None
-        self._trial_scratch: Optional[KnapsackBatchWorkspace] = None
+    def reserve(self, items: int) -> None:
+        """Cut every buffer to ``items`` entries, growing the storage if needed."""
+        items = max(int(items), 1)
+        if items > self._store.shape[1]:
+            perf.count("subproblem.workspace_allocs")
+            self._store = np.empty((8, items))
+            self.knapsack = KnapsackBatchWorkspace(2, items)
+            # The polish trial buffers are (_TRIAL_CHUNK, items)-sized —
+            # by far the largest scratch in the workspace — and are only
+            # touched when the polish pass evaluates swap candidates, so
+            # they are allocated lazily; solves with polish disabled
+            # never pay for them.
+            self._trial_prod: Optional[np.ndarray] = None
+            self._trial_scratch: Optional[KnapsackBatchWorkspace] = None
+        else:
+            self.knapsack.resize(items)
+        self.items = items
+        rows = self._store[:, :items]
+        self.caps, self.priced_mu, self.mu, self.subgrad, self.prod, self.masked_caps = rows[:6]
+        self.batch_costs = rows[6:]
 
     @property
     def trial_prod(self) -> np.ndarray:
-        """Lazily allocated ``(_TRIAL_CHUNK, U*F)`` polish product scratch."""
+        """Lazily allocated ``(_TRIAL_CHUNK, items)`` polish product scratch."""
         if self._trial_prod is None:
-            self._trial_prod = np.empty((_TRIAL_CHUNK, self.shape[0] * self.shape[1]))
-        return self._trial_prod
+            perf.count("subproblem.workspace_allocs")
+            self._trial_prod = np.empty(_TRIAL_CHUNK * self._store.shape[1])
+        return self._trial_prod[: _TRIAL_CHUNK * self.items].reshape(_TRIAL_CHUNK, self.items)
 
     @property
     def trial_scratch(self) -> KnapsackBatchWorkspace:
         """Lazily allocated ``_TRIAL_CHUNK``-row polish knapsack workspace."""
         if self._trial_scratch is None:
-            self._trial_scratch = KnapsackBatchWorkspace(
-                _TRIAL_CHUNK, self.shape[0] * self.shape[1]
-            )
+            perf.count("subproblem.workspace_allocs")
+            self._trial_scratch = KnapsackBatchWorkspace(_TRIAL_CHUNK, self._store.shape[1])
+        self._trial_scratch.resize(self.items)
         return self._trial_scratch
-
-    def ensure_shape(self, shape: Tuple[int, int]) -> None:
-        """Re-allocate every buffer if ``shape`` differs from the last solve."""
-        if self.shape != shape:
-            self._allocate(shape)
 
 
 def _routing_coefficients(problem: ProblemInstance, sbs: int) -> np.ndarray:
@@ -379,7 +447,7 @@ def _polish_cache_set(
     oracles supply their own evaluator.
 
     ``batch_evaluate`` (batched oracle only) maps a ``(T, F)`` matrix of
-    trial cache vectors to ``(routings (T, U, F), costs (T,))`` in one
+    trial cache vectors to ``(routings (T, P), costs (T,))`` in one
     shared-order knapsack batch.  Within one pass every swap trial
     derives from the same incumbent (the scalar loop accepts at most one
     swap and then restarts the pass), so evaluating all trials up front
@@ -449,8 +517,260 @@ def _polish_cache_set(
     return caching, best_routing, best_cost
 
 
+def _step_schedule(
+    config: SubproblemConfig, coefficients: np.ndarray, warm: bool
+) -> StepSchedule:
+    """``config.schedule``, or the default scaled to the coefficients."""
+    if config.schedule is not None:
+        return config.schedule
+    scale = float(np.max(np.abs(coefficients), initial=0.0))
+    # Warm-started duals sit near the optimum already: restart with a
+    # quarter of the cold step so successive Gauss-Seidel iterations
+    # don't re-inject oscillation into an almost-converged dual.
+    eta0_factor = 0.125 if warm else 0.5
+    return StepSchedule(eta0=max(scale, 1e-12) * eta0_factor, alpha=0.25)
+
+
+def _start_point(initial_multipliers: Optional[np.ndarray], size: int) -> np.ndarray:
+    """The first dual iterate: zeros, or the projected warm start."""
+    if initial_multipliers is None:
+        return np.zeros(size)
+    start = np.asarray(initial_multipliers, dtype=np.float64).ravel()
+    if start.size != size:
+        raise ValidationError(
+            "initial_multipliers must have one entry per item (U*F cells or "
+            f"P pairs, here {size}), got {start.size}"
+        )
+    return np.maximum(start, 0.0)
+
+
+def _pair_inputs(
+    view: PairSubproblem,
+    aggregate_others: np.ndarray,
+    workspace: SubproblemWorkspace,
+) -> Tuple[np.ndarray, float]:
+    """Residual caps and constant term of a pair view: the values the
+    zero-padded block would hold at the pairs' cells (every local group
+    is connected)."""
+    others = as_float_array(aggregate_others, "aggregate_others", shape=view.demand.shape)
+    workspace.reserve(view.num_items)
+    caps = workspace.caps
+    np.subtract(1.0, others, out=caps)
+    np.clip(caps, 0.0, 1.0, out=caps)
+    residual = 1.0 - np.clip(others, 0.0, 1.0)
+    return caps, float(np.sum(view.bs_cost * residual * view.demand))
+
+
+def _solve_items(
+    view: PairSubproblem,
+    caps: np.ndarray,
+    prices: Optional[np.ndarray],
+    constant: float,
+    config: SubproblemConfig,
+    ws: SubproblemWorkspace,
+    start: np.ndarray,
+    warm: bool,
+    candidate_caching: Optional[np.ndarray],
+) -> SubproblemSolution:
+    """The batched tier: projected dual ascent over an item vector.
+
+    Same control flow as :func:`repro.solvers.subgradient.subgradient_ascent`
+    with the oracle fused in.  Per dual iteration: one ``(F,)`` cache
+    set selection, one knapsack row for the dual routing subproblem,
+    primal recovery of cache sets not seen before, and an in-place
+    projected subgradient step — nothing allocated beyond the paid-item
+    argsort and the ``(F,)``-sized vectors.  ``ws`` must be reserved for
+    the item count.
+    """
+    num_files = view.num_files
+    item_file = view.item_file
+    coefficients = view.coefficients
+    priced = coefficients if prices is None else coefficients + prices
+    bandwidth = view.bandwidth
+    capacity = view.capacity
+    # -c = margin * lambda exactly, so this is the potential saving
+    # ``margin * lambda * caps`` summed per file: the caching filler order.
+    tie_break = view.file_sums(np.negative(coefficients) * caps)
+    filler_order = np.argsort(-tie_break, kind="stable")
+    schedule = _step_schedule(config, coefficients, warm)
+
+    # Row 0 of the knapsack batch is the dual routing subproblem (costs
+    # change with mu each iteration), row 1 is primal recovery (costs
+    # are the fixed priced coefficients, only the cache-masked caps
+    # change) — row 1's value-density sort is paid exactly once per
+    # solve, and every polish trial reuses it too.
+    kw = ws.knapsack
+    kw.bind_weights(view.demand)
+    dual_costs, recovery_costs = ws.batch_costs
+    np.copyto(recovery_costs, priced)
+    kw.prepare_row(1, recovery_costs)
+    prod = ws.prod
+
+    # The recovery row's costs (the priced coefficients) are fixed for
+    # the whole solve, so its paid prefix, greedy order and the caps
+    # gathered along it are hoisted here: evaluating a cache set is
+    # ``solve_row`` on the cache-masked caps, with the mask gathered
+    # along the hoisted order, and a polish trial only contributes its
+    # (F,)-sized cache mask, gathered from the tiny trial matrix instead
+    # of a (T, P) effective-caps build.
+    recovery_paid = int(kw.paid_count[1])
+    recovery_order = kw.order[1, :recovery_paid]
+    recovery_file = item_file.take(recovery_order)
+    recovery_caps = caps.take(recovery_order)
+    recovery_w_eff = kw.w_eff[1, :recovery_paid]
+    recovery_w = kw.w_sorted[1, :recovery_paid]
+
+    def recover(caching: np.ndarray) -> Tuple[np.ndarray, float]:
+        """Recovery evaluation of one cache set — the T=1 kernel."""
+        perf.count("knapsack.batched_rows")
+        allocation = kw.allocation[1]
+        allocation.fill(0.0)
+        if recovery_paid:
+            sorted_full = kw.sorted_full[1, :recovery_paid]
+            np.multiply(recovery_caps, caching.take(recovery_file), out=sorted_full)
+            np.multiply(sorted_full, recovery_w_eff, out=sorted_full)
+            before = kw.before[1, :recovery_paid]
+            before[0] = 0.0
+            sorted_full[:-1].cumsum(out=before[1:])
+            take = kw.take[1, :recovery_paid]
+            np.subtract(bandwidth, before, out=take)
+            np.maximum(take, 0.0, out=take)
+            np.minimum(take, sorted_full, out=take)
+            positive = kw.positive[1, :recovery_paid]
+            np.greater(take, 0.0, out=positive)
+            vals = kw.vals[1, :recovery_paid]
+            vals.fill(0.0)
+            np.divide(take, recovery_w, out=vals, where=positive)
+            allocation[recovery_order] = vals
+        if kw.has_free(1):
+            free_cols = np.flatnonzero(kw.free[1])
+            allocation[free_cols] = caps[free_cols] * caching[item_file[free_cols]]
+        np.multiply(priced, allocation, out=prod)
+        return allocation, constant + float(np.add.reduce(prod))
+
+    def evaluate(caching: np.ndarray) -> Tuple[np.ndarray, float]:
+        allocation, cost = recover(caching)
+        return allocation.copy(), cost
+
+    def batch_evaluate(trials: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        count = trials.shape[0]
+        perf.count("knapsack.batched_rows", count)
+        scratch = ws.trial_scratch
+        allocation = scratch.allocation[:count]
+        allocation.fill(0.0)
+        if recovery_paid:
+            sorted_full = scratch.sorted_full[:count, :recovery_paid]
+            # Same grouping as the scalar path: (cap * trial) * w.
+            np.multiply(recovery_caps, trials[:, recovery_file], out=sorted_full)
+            np.multiply(sorted_full, recovery_w_eff, out=sorted_full)
+            before = scratch.before[:count, :recovery_paid]
+            before[:, 0] = 0.0
+            sorted_full[:, :-1].cumsum(axis=1, out=before[:, 1:])
+            take = scratch.take[:count, :recovery_paid]
+            np.subtract(bandwidth, before, out=take)
+            np.maximum(take, 0.0, out=take)
+            np.minimum(take, sorted_full, out=take)
+            positive = scratch.positive[:count, :recovery_paid]
+            np.greater(take, 0.0, out=positive)
+            vals = scratch.vals[:count, :recovery_paid]
+            vals.fill(0.0)
+            np.divide(take, recovery_w, out=vals, where=positive)
+            allocation[:, recovery_order] = vals
+        if kw.has_free(1):
+            free_cols = np.flatnonzero(kw.free[1])
+            allocation[:, free_cols] = caps[free_cols] * trials[:, item_file[free_cols]]
+        products = ws.trial_prod[:count]
+        np.multiply(allocation, priced, out=products)
+        return allocation, constant + np.add.reduce(products, axis=1)
+
+    best_cost = np.inf
+    best_caching: Optional[np.ndarray] = None
+    best_routing: Optional[np.ndarray] = None
+    if candidate_caching is not None:
+        best_routing, best_cost = evaluate(candidate_caching)
+        best_caching = candidate_caching
+
+    mu = ws.mu
+    np.copyto(mu, start)
+    np.maximum(mu, 0.0, out=mu)
+    subgrad = ws.subgrad
+    # Row 0's caps never change during the ascent, so the greedy's
+    # ``caps * weights`` products are computed exactly once.
+    caps_weights = caps * view.demand
+    best_dual = -np.inf
+    dual_history = []
+    stall = 0
+    converged = False
+    # The recovery row depends only on the candidate cache set, and the
+    # dual iterates oscillate between a handful of sets: any set seen
+    # before is skipped outright — its evaluation is deterministic, and
+    # the strict < of the best-update means an equal cost never changes
+    # the incumbent.
+    seen_cache_sets: set = set()
+    for iteration in range(config.max_iter):
+        aggregated = view.file_sums(mu)
+        caching = _select_cache_set(num_files, capacity, aggregated, filler_order)
+        np.add(coefficients, mu, out=dual_costs)
+        if prices is not None:
+            dual_costs += prices
+        kw.prepare_row(0, dual_costs)
+        alloc0 = kw.solve_row_scaled(0, caps_weights, caps, bandwidth)
+        cache_key = caching.tobytes()
+        if cache_key not in seen_cache_sets:
+            seen_cache_sets.add(cache_key)
+            recovered_routing, recovered_cost = recover(caching)
+            if recovered_cost < best_cost:
+                best_cost = recovered_cost
+                best_caching = caching
+                best_routing = recovered_routing.copy()
+        np.add(priced, mu, out=ws.priced_mu)
+        np.multiply(ws.priced_mu, alloc0, out=prod)
+        dual_value = (
+            constant
+            + float(np.add.reduce(prod))
+            - float(np.add.reduce(aggregated * caching))
+        )
+        dual_history.append(float(dual_value))
+        improved = dual_value > best_dual + config.tol * max(1.0, abs(best_dual))
+        if dual_value > best_dual:
+            best_dual = float(dual_value)
+        stall = 0 if improved else stall + 1
+        if stall >= config.patience:
+            converged = True
+            break
+        caching.take(item_file, out=subgrad)
+        np.subtract(alloc0, subgrad, out=subgrad)
+        np.multiply(subgrad, schedule(iteration), out=subgrad)
+        np.add(mu, subgrad, out=mu)
+        np.maximum(mu, 0.0, out=mu)
+    perf.count("subgradient.iterations", len(dual_history))
+
+    if best_caching is None or best_routing is None:  # pragma: no cover - max_iter >= 1
+        raise ValidationError("subgradient ascent performed no iterations")
+    if config.polish:
+        best_caching, best_routing, best_cost = _polish_cache_set(
+            best_caching,
+            best_routing,
+            best_cost,
+            evaluate=evaluate,
+            potential=tie_break,
+            capacity=capacity,
+            batch_evaluate=batch_evaluate,
+        )
+    return SubproblemSolution(
+        caching=best_caching,
+        routing=best_routing,
+        cost=best_cost,
+        best_dual=best_dual,
+        dual_history=tuple(dual_history),
+        iterations=len(dual_history),
+        converged=converged,
+        multipliers=mu.copy(),
+    )
+
+
 def solve_subproblem(
-    problem: ProblemInstance,
+    problem: Union[ProblemInstance, PairSubproblem],
     sbs: int,
     aggregate_others: np.ndarray,
     config: Optional[SubproblemConfig] = None,
@@ -463,6 +783,12 @@ def solve_subproblem(
     constant_offset: float = 0.0,
 ) -> SubproblemSolution:
     """Solve ``P_n`` by the paper's dual decomposition with primal recovery.
+
+    ``problem`` is a dense :class:`~repro.core.problem.ProblemInstance`
+    (``aggregate_others`` is ``(U, F)``) or one SBS's
+    :class:`PairSubproblem` (``sbs`` is ``0`` and ``aggregate_others``
+    is ``(P,)`` over its pairs).  A pair view runs on the batched tier
+    only and takes neither ``prices`` nor ``cap_slack``.
 
     ``prices`` (shape ``(U, F)``) and ``cap_slack`` support the enhanced
     price-coordination mode of the distributed optimizer: prices add a
@@ -485,8 +811,8 @@ def solve_subproblem(
     regardless of dual-ascent noise.
 
     ``workspace`` supplies preallocated scratch buffers for the fast
-    oracle (one is created per call when omitted); repeat callers should
-    hold one :class:`SubproblemWorkspace` per SBS and pass it in.
+    oracles (one is created per call when omitted); repeat callers should
+    hold one :class:`SubproblemWorkspace` and pass it in.
 
     ``constant_offset`` is added to the ``y``-independent constant term.
     The sparse solver passes the BS cost of the demand *outside* the
@@ -497,62 +823,116 @@ def solve_subproblem(
     bit-exact no-op.
     """
     config = config or SubproblemConfig()
+    perf.count("subproblem.solves")
+    mode = config.resolved_oracle()
+    if cap_slack < 0:
+        raise ValidationError(f"cap_slack must be nonnegative, got {cap_slack}")
+    warm = initial_multipliers is not None
+    if candidate_caching is not None:
+        candidate_caching = as_float_array(
+            candidate_caching, "candidate_caching", shape=(problem.num_files,)
+        )
+
+    if isinstance(problem, PairSubproblem):
+        if mode != "batched":
+            raise ValidationError(
+                f"a PairSubproblem runs on the batched oracle only, not {mode!r}; "
+                "solve the SBS's sub_instance() block for the reference tiers"
+            )
+        if sbs != 0:
+            raise ValidationError(f"a PairSubproblem holds one SBS: sbs must be 0, got {sbs}")
+        if prices is not None or cap_slack > 0:
+            raise ValidationError("prices and cap_slack need a dense ProblemInstance")
+        if problem.num_items == 0:
+            raise ValidationError("the PairSubproblem has no demand pairs to route")
+        if workspace is None:
+            workspace = SubproblemWorkspace(items=problem.num_items)
+        caps, constant = _pair_inputs(problem, aggregate_others, workspace)
+        return _solve_items(
+            problem,
+            caps,
+            None,
+            constant + constant_offset,
+            config,
+            workspace,
+            _start_point(initial_multipliers, problem.num_items),
+            warm,
+            candidate_caching,
+        )
+
     problem._check_sbs(sbs)
     num_groups, num_files = problem.num_groups, problem.num_files
-    perf.count("subproblem.solves")
+    shape = (num_groups, num_files)
     # Arrays are validated once here, at the API boundary; the oracles
     # below trust them for the whole dual ascent.
-    aggregate_others = as_float_array(
-        aggregate_others, "aggregate_others", shape=(num_groups, num_files)
-    )
-    mode = config.resolved_oracle()
-    use_fast = mode != "legacy"
+    aggregate_others = as_float_array(aggregate_others, "aggregate_others", shape=shape)
+    if prices is not None:
+        prices = np.asarray(prices, dtype=np.float64)
+        if prices.shape != shape:
+            raise ValidationError(f"prices must have shape {shape}")
+    if mode != "legacy" and workspace is None:
+        workspace = SubproblemWorkspace(problem)
     if workspace is not None:
         # Buffers adapt to the problem at hand: a workspace reused across
-        # sweep cells of different (U, F) shapes is re-allocated, never
-        # trusted blindly.
-        workspace.ensure_shape((num_groups, num_files))
-    if use_fast and workspace is None:
-        workspace = SubproblemWorkspace(problem)
+        # sweep cells of different (U, F) shapes is re-cut, never trusted
+        # blindly.
+        workspace.reserve(num_groups * num_files)
     caps = residual_caps(
         problem,
         sbs,
         aggregate_others,
-        out=workspace.caps if use_fast else None,
+        out=None if workspace is None else workspace.caps.reshape(shape),
         validate=False,
     )
-    if cap_slack < 0:
-        raise ValidationError(f"cap_slack must be nonnegative, got {cap_slack}")
     if cap_slack > 0:
         reach = problem.connectivity[sbs][:, np.newaxis]
         caps = np.minimum(caps + cap_slack * reach, reach)
-    if prices is not None:
-        prices = np.asarray(prices, dtype=np.float64)
-        if prices.shape != (num_groups, num_files):
-            raise ValidationError(
-                f"prices must have shape {(num_groups, num_files)}"
-            )
     constant = _constant_term(problem, sbs, aggregate_others) + constant_offset
+    start = _start_point(initial_multipliers, num_groups * num_files)
+    if mode == "batched":
+        # The dense caller of the item kernel: every cell is an item, in C
+        # order, so the kernel sees exactly the block's vectors.
+        assert workspace is not None
+        grid = PairSubproblem(
+            demand=problem.demand_flat(),
+            coefficients=_routing_coefficients(problem, sbs).ravel(),
+            bs_cost=np.repeat(problem.bs_cost, num_files),
+            item_row=np.repeat(np.arange(num_groups), num_files),
+            item_file=np.tile(np.arange(num_files), num_groups),
+            num_rows=num_groups,
+            num_files=num_files,
+            capacity=int(problem.cache_slots()[sbs]),
+            bandwidth=float(problem.bandwidth[sbs]),
+        )
+        solution = _solve_items(
+            grid,
+            caps.ravel(),
+            None if prices is None else prices.ravel(),
+            constant,
+            config,
+            workspace,
+            start,
+            warm,
+            candidate_caching,
+        )
+        return dataclasses.replace(
+            solution,
+            routing=solution.routing.reshape(shape),
+            multipliers=solution.multipliers.reshape(shape),
+        )
+
+    # The reference tiers, hoisted and legacy.
     coefficients = _routing_coefficients(problem, sbs)
     tie_break = (problem.savings_margin()[sbs][:, np.newaxis] * problem.demand * caps).sum(axis=0)
     capacity = int(problem.cache_slots()[sbs])
-
-    schedule = config.schedule
-    if schedule is None:
-        scale = float(np.max(np.abs(coefficients), initial=0.0))
-        # Warm-started duals sit near the optimum already: restart with a
-        # quarter of the cold step so successive Gauss-Seidel iterations
-        # don't re-inject oscillation into an almost-converged dual.
-        eta0_factor = 0.125 if initial_multipliers is not None else 0.5
-        schedule = StepSchedule(eta0=max(scale, 1e-12) * eta0_factor, alpha=0.25)
-
+    schedule = _step_schedule(config, coefficients, warm)
     priced = coefficients if prices is None else coefficients + prices
 
-    batch_evaluate: Optional[Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]]] = None
-    if use_fast:
+    if mode == "hoisted":
         # Everything invariant across dual iterations, hoisted out of the
         # loop: flat views of the priced coefficients and caps, the shared
         # demand weights, and the tie-break filler order.
+        assert workspace is not None
         ws = workspace
         coefficients_flat = coefficients.ravel()
         priced_flat = priced.ravel()
@@ -561,111 +941,18 @@ def solve_subproblem(
         weights_flat = problem.demand_flat()
         bandwidth = float(problem.bandwidth[sbs])
         filler_order = np.argsort(-tie_break, kind="stable")
-
-    if mode == "batched":
-        # Row 0 of the knapsack batch is the dual routing subproblem
-        # (costs change with mu each iteration), row 1 is primal
-        # recovery (costs are the fixed priced coefficients, only the
-        # cache-masked caps change) — row 1's value-density sort is paid
-        # exactly once per solve, and every polish trial reuses it too.
-        kw = ws.knapsack
-        kw.bind_weights(weights_flat)
-        np.copyto(ws.batch_costs[1], priced_flat)
-        kw.prepare_row(1, ws.batch_costs[1])
-        caps_eff_flat = ws.batch_caps[1]
-        caps_eff = caps_eff_flat.reshape(num_groups, num_files)
+        costs_flat = ws.batch_costs[0]
+        effective_caps = ws.masked_caps
 
         def evaluate(caching: np.ndarray) -> Tuple[np.ndarray, float]:
-            np.multiply(caps, caching[np.newaxis, :], out=caps_eff)
-            alloc = kw.solve_row(1, caps_eff_flat, bandwidth)
-            np.multiply(priced_flat, alloc, out=ws.prod_flat)
-            cost = constant + float(np.add.reduce(ws.prod_flat))
-            return alloc.reshape(num_groups, num_files).copy(), cost
-
-        # The recovery row's costs (the priced coefficients) are fixed
-        # for the whole solve, so its paid prefix, greedy order and the
-        # caps gathered along it are hoisted here; a polish trial then
-        # only contributes its (F,)-sized cache mask, gathered from the
-        # tiny trial matrix instead of a (T, U*F) effective-caps build.
-        recovery_paid = int(kw.paid_count[1])
-        recovery_order = kw.order[1, :recovery_paid]
-        recovery_file = recovery_order % num_files
-        recovery_caps = caps_flat.take(recovery_order)
-        recovery_w_eff = kw.w_eff[1, :recovery_paid]
-        recovery_w = kw.w_sorted[1, :recovery_paid]
-
-        def recover(caching: np.ndarray) -> Tuple[np.ndarray, float]:
-            """Recovery evaluation of one cache set — the T=1 kernel."""
-            perf.count("knapsack.batched_rows")
-            allocation = kw.allocation[1]
-            allocation.fill(0.0)
-            if recovery_paid:
-                sorted_full = kw.sorted_full[1, :recovery_paid]
-                np.multiply(recovery_caps, caching.take(recovery_file), out=sorted_full)
-                np.multiply(sorted_full, recovery_w_eff, out=sorted_full)
-                before = kw.before[1, :recovery_paid]
-                before[0] = 0.0
-                sorted_full[:-1].cumsum(out=before[1:])
-                take = kw.take[1, :recovery_paid]
-                np.subtract(bandwidth, before, out=take)
-                np.maximum(take, 0.0, out=take)
-                np.minimum(take, sorted_full, out=take)
-                positive = kw.positive[1, :recovery_paid]
-                np.greater(take, 0.0, out=positive)
-                vals = kw.vals[1, :recovery_paid]
-                vals.fill(0.0)
-                np.divide(take, recovery_w, out=vals, where=positive)
-                allocation[recovery_order] = vals
-            if kw.has_free(1):
-                free_cols = np.flatnonzero(kw.free[1])
-                allocation[free_cols] = caps_flat[free_cols] * caching[free_cols % num_files]
-            np.multiply(priced_flat, allocation, out=ws.prod_flat)
-            return allocation, constant + float(np.add.reduce(ws.prod_flat))
-
-        def batch_evaluate(trials: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-            count = trials.shape[0]
-            perf.count("knapsack.batched_rows", count)
-            scratch = ws.trial_scratch
-            allocation = scratch.allocation[:count]
-            allocation.fill(0.0)
-            if recovery_paid:
-                sorted_full = scratch.sorted_full[:count, :recovery_paid]
-                # Same grouping as the scalar path: (cap * trial) * w.
-                np.multiply(recovery_caps, trials[:, recovery_file], out=sorted_full)
-                np.multiply(sorted_full, recovery_w_eff, out=sorted_full)
-                before = scratch.before[:count, :recovery_paid]
-                before[:, 0] = 0.0
-                sorted_full[:, :-1].cumsum(axis=1, out=before[:, 1:])
-                take = scratch.take[:count, :recovery_paid]
-                np.subtract(bandwidth, before, out=take)
-                np.maximum(take, 0.0, out=take)
-                np.minimum(take, sorted_full, out=take)
-                positive = scratch.positive[:count, :recovery_paid]
-                np.greater(take, 0.0, out=positive)
-                vals = scratch.vals[:count, :recovery_paid]
-                vals.fill(0.0)
-                np.divide(take, recovery_w, out=vals, where=positive)
-                allocation[:, recovery_order] = vals
-            if kw.has_free(1):
-                free = kw.free[1]
-                free_cols = np.flatnonzero(free)
-                allocation[:, free_cols] = (
-                    caps_flat[free_cols] * trials[:, free_cols % num_files]
-                )
-            products = ws.trial_prod[:count]
-            np.multiply(allocation, priced_flat, out=products)
-            costs_of_trials = constant + np.add.reduce(products, axis=1)
-            return allocation.reshape(-1, num_groups, num_files), costs_of_trials
-
-    elif use_fast:
-
-        def evaluate(caching: np.ndarray) -> Tuple[np.ndarray, float]:
-            np.multiply(caps, caching[np.newaxis, :], out=ws.effective_caps)
+            np.multiply(
+                caps, caching[np.newaxis, :], out=effective_caps.reshape(num_groups, num_files)
+            )
             result = solve_fractional_knapsack(
                 priced_flat,
                 weights_flat,
                 bandwidth,
-                ws.effective_caps.ravel(),
+                effective_caps,
                 validate=False,
             )
             routing = result.allocation.reshape(num_groups, num_files)
@@ -678,11 +965,8 @@ def solve_subproblem(
 
     best: dict = {"cost": np.inf, "caching": None, "routing": None}
     if candidate_caching is not None:
-        seed_caching = as_float_array(
-            candidate_caching, "candidate_caching", shape=(num_files,)
-        )
-        seed_routing, seed_cost = evaluate(seed_caching)
-        best.update(cost=seed_cost, caching=seed_caching, routing=seed_routing)
+        seed_routing, seed_cost = evaluate(candidate_caching)
+        best.update(cost=seed_cost, caching=candidate_caching, routing=seed_routing)
 
     if mode == "hoisted":
 
@@ -690,17 +974,17 @@ def solve_subproblem(
             mu = multipliers.reshape(num_groups, num_files)
             aggregated = mu.sum(axis=0)
             caching = _select_cache_set(num_files, capacity, aggregated, filler_order)
-            np.add(coefficients_flat, multipliers, out=ws.costs_flat)
+            np.add(coefficients_flat, multipliers, out=costs_flat)
             if prices_flat is not None:
-                ws.costs_flat += prices_flat
+                np.add(costs_flat, prices_flat, out=costs_flat)
             result = solve_fractional_knapsack(
-                ws.costs_flat, weights_flat, bandwidth, caps_flat, validate=False
+                costs_flat, weights_flat, bandwidth, caps_flat, validate=False
             )
             routing = result.allocation.reshape(num_groups, num_files)
-            np.add(priced_flat, multipliers, out=ws.priced_mu_flat)
+            np.add(priced_flat, multipliers, out=ws.priced_mu)
             dual_value = (
                 constant
-                + float(np.sum(ws.priced_mu_flat * result.allocation))
+                + float(np.sum(ws.priced_mu * result.allocation))
                 - float(np.sum(aggregated * caching))
             )
             subgradient = routing - caching[np.newaxis, :]
@@ -712,7 +996,7 @@ def solve_subproblem(
                 best["routing"] = recovered_routing
             return dual_value, subgradient.ravel(), None
 
-    elif mode == "legacy":
+    else:
 
         def oracle(multipliers: np.ndarray):
             mu = multipliers.reshape(num_groups, num_files)
@@ -732,100 +1016,14 @@ def solve_subproblem(
                 best["routing"] = recovered_routing
             return dual_value, subgradient.ravel(), None
 
-    if initial_multipliers is None:
-        start = np.zeros(num_groups * num_files)
-    else:
-        start = np.asarray(initial_multipliers, dtype=np.float64).ravel()
-        if start.size != num_groups * num_files:
-            raise ValidationError(
-                "initial_multipliers must have U*F entries, got "
-                f"{start.size}"
-            )
-        start = np.maximum(start, 0.0)
-    if mode == "batched":
-        # Inlined projected-subgradient ascent: the exact control flow of
-        # :func:`repro.solvers.subgradient.subgradient_ascent` with the
-        # oracle fused in.  One knapsack batch (dual routing + primal
-        # recovery) and three in-place array ops per multiplier update —
-        # nothing allocated per iteration beyond the argsort of row 0 and
-        # the (F,)-sized cache-set selection.
-        mu = ws.mu_flat
-        np.copyto(mu, start)
-        np.maximum(mu, 0.0, out=mu)
-        # Row 0's caps never change during the ascent, so the greedy's
-        # ``caps * weights`` products are computed exactly once.
-        cw_flat = caps_flat * weights_flat
-        mu2 = mu.reshape(num_groups, num_files)
-        sub2 = ws.subgrad_flat.reshape(num_groups, num_files)
-        best_dual = -np.inf
-        dual_history = []
-        stall = 0
-        converged = False
-        # The recovery row depends only on the candidate cache set, and
-        # the dual iterates oscillate between a handful of sets: any set
-        # seen before is skipped outright — its evaluation is
-        # deterministic, and the strict < of the best-update means an
-        # equal cost never changes the incumbent.
-        seen_cache_sets: set = set()
-        for iteration in range(config.max_iter):
-            # ``np.add.reduce`` is what ``np.sum`` dispatches to — same
-            # pairwise summation, minus the wrapper overhead that shows
-            # up at this call frequency.
-            np.add.reduce(mu2, axis=0, out=ws.aggregated)
-            caching = _select_cache_set(num_files, capacity, ws.aggregated, filler_order)
-            np.add(coefficients_flat, mu, out=ws.batch_costs[0])
-            if prices_flat is not None:
-                ws.batch_costs[0] += prices_flat
-            kw.prepare_row(0, ws.batch_costs[0])
-            alloc0 = kw.solve_row_scaled(0, cw_flat, caps_flat, bandwidth)
-            cache_key = caching.tobytes()
-            if cache_key not in seen_cache_sets:
-                seen_cache_sets.add(cache_key)
-                recovered_routing, recovered_cost = recover(caching)
-                if recovered_cost < best["cost"]:
-                    best["cost"] = recovered_cost
-                    best["caching"] = caching
-                    best["routing"] = recovered_routing.reshape(
-                        num_groups, num_files
-                    ).copy()
-            np.add(priced_flat, mu, out=ws.priced_mu_flat)
-            np.multiply(ws.priced_mu_flat, alloc0, out=ws.prod_flat)
-            dual_value = (
-                constant
-                + float(np.add.reduce(ws.prod_flat))
-                - float(np.add.reduce(ws.aggregated * caching))
-            )
-            dual_history.append(float(dual_value))
-            improved = dual_value > best_dual + config.tol * max(1.0, abs(best_dual))
-            if dual_value > best_dual:
-                best_dual = float(dual_value)
-            stall = 0 if improved else stall + 1
-            if stall >= config.patience:
-                converged = True
-                break
-            np.subtract(
-                alloc0.reshape(num_groups, num_files), caching[np.newaxis, :], out=sub2
-            )
-            np.multiply(ws.subgrad_flat, schedule(iteration), out=ws.subgrad_flat)
-            np.add(mu, ws.subgrad_flat, out=mu)
-            np.maximum(mu, 0.0, out=mu)
-        result = SubgradientResult(
-            multipliers=mu.copy(),
-            best_dual=best_dual,
-            best_payload=None,
-            dual_history=dual_history,
-            iterations=len(dual_history),
-            converged=converged,
-        )
-    else:
-        result = subgradient_ascent(
-            oracle,
-            start,
-            schedule=schedule,
-            max_iter=config.max_iter,
-            tol=config.tol,
-            patience=config.patience,
-        )
+    result = subgradient_ascent(
+        oracle,
+        start,
+        schedule=schedule,
+        max_iter=config.max_iter,
+        tol=config.tol,
+        patience=config.patience,
+    )
     perf.count("subgradient.iterations", result.iterations)
 
     caching, routing, cost = best["caching"], best["routing"], best["cost"]
@@ -839,7 +1037,6 @@ def solve_subproblem(
             evaluate=evaluate,
             potential=tie_break,
             capacity=capacity,
-            batch_evaluate=batch_evaluate,
         )
     return SubproblemSolution(
         caching=caching,
@@ -849,9 +1046,7 @@ def solve_subproblem(
         dual_history=tuple(result.dual_history),
         iterations=result.iterations,
         converged=result.converged,
-        multipliers=result.multipliers.reshape(
-            num_groups, num_files
-        ),
+        multipliers=result.multipliers.reshape(num_groups, num_files),
     )
 
 

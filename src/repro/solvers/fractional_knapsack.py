@@ -168,6 +168,9 @@ class KnapsackBatchWorkspace:
       the caps-dependent stage: cumulative-capacity masking and the
       fractional tail split, pure array ops with no Python-level loop.
 
+    :meth:`resize` re-cuts the buffers to another item count without
+    allocating when the storage is already large enough.
+
     Every stage reproduces :func:`solve_fractional_knapsack` bit for
     bit: the full-row stable argsort (non-profitable items pinned to
     ``+inf`` density) restricts to the scalar solver's stable subset
@@ -202,6 +205,11 @@ class KnapsackBatchWorkspace:
         "_row_offsets",
         "_flat_order",
         "_alloc_flat",
+        "_floats",
+        "_flags",
+        "_indices",
+        "_item_floats",
+        "_item_flags",
     )
 
     def __init__(self, rows: int, items: int) -> None:
@@ -210,32 +218,57 @@ class KnapsackBatchWorkspace:
                 f"batch workspace needs rows >= 1 and items >= 1, got ({rows}, {items})"
             )
         self.rows = rows
-        self.items = items
-        self.weights = np.empty(items)
-        shape = (rows, items)
-        self.paid = np.zeros(shape, dtype=bool)
-        self.free = np.zeros(shape, dtype=bool)
-        self.ratio = np.empty(shape)
-        self.order = np.empty(shape, dtype=np.intp)
-        self.sorted_full = np.empty(shape)
-        self.before = np.empty(shape)
-        self.take = np.empty(shape)
-        self.w_sorted = np.empty(shape)
-        self.w_eff = np.empty(shape)
+        self.items = 0
         self.paid_count = np.zeros(rows, dtype=np.intp)
-        self.positive = np.empty(shape, dtype=bool)
-        self.vals = np.empty(shape)
-        self.allocation = np.empty(shape)
-        self._wpos = np.empty(items, dtype=bool)
-        self._wzero = np.empty(items, dtype=bool)
-        self._w_has_zero = False
         self._free_any = np.zeros(rows, dtype=bool)
+        self._w_has_zero = False
+        self._floats = np.empty((8, 0))
+        self.resize(items)
+
+    def resize(self, items: int) -> None:
+        """Re-cut every buffer to ``items`` items per row.
+
+        The storage only grows: it is re-allocated when ``items`` exceeds
+        every earlier size and reused otherwise, so one workspace serves
+        solves of varying size (one SBS's demand pairs after another's)
+        without allocating.  Each buffer is a C-contiguous prefix of its
+        storage, laid out exactly like a fresh ``(rows, items)`` array.
+        Rows must be prepared again after a resize.
+        """
+        if items < 1:
+            raise ValidationError(f"batch workspace needs items >= 1, got {items}")
+        if items == self.items:
+            return
+        cells = self.rows * items
+        if cells > self._floats.shape[1]:
+            self._floats = np.empty((8, cells))
+            self._flags = np.zeros((3, cells), dtype=bool)
+            self._indices = np.empty((2, cells), dtype=np.intp)
+            self._item_floats = np.empty(items)
+            self._item_flags = np.empty((2, items), dtype=bool)
+        shape = (self.rows, items)
+        (
+            self.ratio,
+            self.sorted_full,
+            self.before,
+            self.take,
+            self.w_sorted,
+            self.w_eff,
+            self.vals,
+            self.allocation,
+        ) = self._floats[:, :cells].reshape((8,) + shape)
+        self.paid, self.free, self.positive = self._flags[:, :cells].reshape((3,) + shape)
+        self.order, self._flat_order = self._indices[:, :cells].reshape((2,) + shape)
+        self.weights = self._item_floats[:items]
+        self._wpos, self._wzero = self._item_flags[:, :items]
+        self.items = items
+        self.paid_count.fill(0)
+        self._free_any.fill(False)
         # Flat-index scaffolding: per-row greedy orders offset into the
         # flattened (rows * items) buffers, so gather/scatter go through
         # plain ``take`` / fancy assignment instead of the much slower
         # ``take_along_axis`` machinery.
-        self._row_offsets = (np.arange(rows, dtype=np.intp) * items)[:, np.newaxis]
-        self._flat_order = np.empty(shape, dtype=np.intp)
+        self._row_offsets = (np.arange(self.rows, dtype=np.intp) * items)[:, np.newaxis]
         self._alloc_flat = self.allocation.reshape(-1)
 
     def has_free(self, row: int) -> bool:

@@ -6,21 +6,24 @@ docstring):
 * the **densify bridge** (``solve_distributed(sparse_instance)``) is
   bit-for-bit the dense run — cost, caching, routing *and* trace
   events;
-* the **compact solver** (``solve_distributed_sparse``) reuses the
-  stock subproblem oracle on local blocks, so cache sets match the
-  dense run set-for-set and routing matches bit-for-bit on the seeded
-  suite; recorded costs are compact sums and may differ from the dense
-  einsum in the last float bits, so they are pinned to a 1e-12
-  relative tolerance.
+* the **compact solver** (``solve_distributed_sparse``) runs the
+  subproblem kernel on each SBS's demand pairs (the reference oracle
+  tiers on zero-padded local blocks), so cache sets match the dense run
+  set-for-set and routing matches bit-for-bit, on the seeded suite and
+  on generated degenerate instances; recorded costs are compact sums
+  and may differ from the dense einsum in the last float bits, so they
+  are pinned to a 1e-12 relative tolerance.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_problem
-from repro import obs
+from repro import obs, perf
 from repro.core import (
     DistributedConfig,
     ProblemInstance,
@@ -480,3 +483,351 @@ class TestCityScale:
         assert result.solution.check_feasibility(sparse).feasible
         # The compact solution stays small too.
         assert result.solution.nbytes() < 50_000_000
+
+
+class TestPairKernelPrecondition:
+    """What the pair-native kernel relies on, checked on the block kernel.
+
+    On a local block, a cell without demand has routing coefficient
+    zero and knapsack weight zero: it is never profitable, so never
+    "paid" (nor free), its allocation stays 0.0, and its subgradient
+    ``0 - x[f]`` can only push a zero multiplier against the projection.
+    Dropping those cells is exact only if this holds for every dual
+    iterate, cold- or warm-started, for both the batched and the legacy
+    oracle.
+    """
+
+    @staticmethod
+    def _spy_knapsacks(monkeypatch, zero_cells):
+        """Record every knapsack row the oracles solve on a block whose
+        zero-demand cells are ``zero_cells`` (a flat boolean mask)."""
+        import repro.core.subproblem as subproblem_module
+        from repro.solvers.fractional_knapsack import KnapsackBatchWorkspace
+
+        seen = {"batched": 0, "scalar": 0}
+        prepare_row = KnapsackBatchWorkspace.prepare_row
+        scalar = subproblem_module.solve_fractional_knapsack
+
+        def checked_prepare_row(self, row, costs):
+            prepare_row(self, row, costs)
+            mask = zero_cells[0]
+            assert not self.paid[row][mask].any()
+            assert not self.free[row][mask].any()
+            seen["batched"] += 1
+
+        def checked_scalar(costs, weights, budget, caps=None, **kwargs):
+            mask = zero_cells[0]
+            # Neither paid nor free: a zero-demand cell is never profitable.
+            assert not np.any(np.asarray(costs).ravel()[mask] < 0)
+            seen["scalar"] += 1
+            return scalar(costs, weights, budget, caps, **kwargs)
+
+        monkeypatch.setattr(KnapsackBatchWorkspace, "prepare_row", checked_prepare_row)
+        monkeypatch.setattr(subproblem_module, "solve_fractional_knapsack", checked_scalar)
+        return seen
+
+    @pytest.mark.parametrize("oracle", ["batched", "legacy"])
+    def test_zero_demand_cells_stay_zero(self, monkeypatch, oracle):
+        from repro.core.subproblem import solve_subproblem
+
+        zero_cells = [np.zeros(0, dtype=bool)]
+        seen = self._spy_knapsacks(monkeypatch, zero_cells)
+        config = SubproblemConfig(oracle=oracle, max_iter=40)
+        checked = 0
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            city = generate_city_instance(
+                5, 30, 200, reach=2, files_per_group=12, rng=seed
+            )
+            for sbs in range(city.num_sbs):
+                index = city.sbs_index(sbs)
+                if index.pair_ids.size == 0:
+                    continue
+                block, _ = city.sub_instance(sbs)
+                zero = block.demand == 0.0
+                assert zero.any()
+                zero_cells[0] = zero.ravel()
+                previous = None
+                for _ in range(3):  # one cold solve, then two warm starts
+                    aggregate = np.zeros(block.demand.shape)
+                    aggregate.ravel()[index.local_flat] = rng.uniform(
+                        0.0, 1.0, size=index.pair_ids.size
+                    )
+                    solution = solve_subproblem(
+                        block,
+                        0,
+                        aggregate,
+                        config,
+                        initial_multipliers=(
+                            None if previous is None else previous.multipliers
+                        ),
+                        candidate_caching=(
+                            None if previous is None else previous.caching
+                        ),
+                    )
+                    assert np.all(solution.multipliers[zero] == 0.0)
+                    assert np.all(solution.routing[zero] == 0.0)
+                    previous = solution
+                    checked += 1
+        assert checked >= 30
+        assert seen["batched" if oracle == "batched" else "scalar"] > 0
+
+
+def _sparse_problem(demand, connectivity, capacity, bandwidth, sbs_cost=None, bs_cost=None):
+    """A dense instance from raw arrays, with safe defaults for the costs."""
+    demand = np.asarray(demand, dtype=float)
+    connectivity = np.asarray(connectivity, dtype=float)
+    num_sbs, num_groups = connectivity.shape
+    return ProblemInstance(
+        demand=demand,
+        connectivity=connectivity,
+        cache_capacity=np.asarray(capacity, dtype=float),
+        bandwidth=np.asarray(bandwidth, dtype=float),
+        sbs_cost=(
+            np.ones((num_sbs, num_groups)) if sbs_cost is None else np.asarray(sbs_cost, float)
+        ),
+        bs_cost=np.full(num_groups, 80.0) if bs_cost is None else np.asarray(bs_cost, float),
+    )
+
+
+@st.composite
+def small_sparse_problems(draw):
+    """Small instances with ties, empty rows and unreached groups mixed in."""
+    num_sbs = draw(st.integers(1, 4))
+    num_groups = draw(st.integers(1, 6))
+    num_files = draw(st.integers(1, 7))
+    # A few demand levels, so popularity ties are common.
+    cells = num_groups * num_files
+    demand = draw(
+        st.lists(st.sampled_from([0.0, 0.0, 1.0, 2.0, 3.5]), min_size=cells, max_size=cells)
+    )
+    links = num_sbs * num_groups
+    connectivity = draw(st.lists(st.booleans(), min_size=links, max_size=links))
+    capacity = draw(
+        st.lists(st.integers(0, num_files + 1), min_size=num_sbs, max_size=num_sbs)
+    )
+    bandwidth = draw(
+        st.lists(st.sampled_from([0.5, 2.0, 6.0, 50.0]), min_size=num_sbs, max_size=num_sbs)
+    )
+    sbs_cost = draw(
+        st.lists(st.sampled_from([0.5, 1.0, 2.0]), min_size=links, max_size=links)
+    )
+    bs_cost = draw(
+        st.lists(st.sampled_from([40.0, 80.0]), min_size=num_groups, max_size=num_groups)
+    )
+    return _sparse_problem(
+        np.reshape(demand, (num_groups, num_files)),
+        np.reshape(connectivity, (num_sbs, num_groups)),
+        capacity,
+        bandwidth,
+        np.reshape(sbs_cost, (num_sbs, num_groups)),
+        bs_cost,
+    )
+
+
+class TestPairNativeDifferential:
+    """The pair-native sparse solve against the dense ``solve_distributed``
+    on small generated instances, degenerate shapes included: equal
+    iterations, set-exact caches, bit-identical routing, costs within
+    1e-12 relative, and every solution feasible."""
+
+    @staticmethod
+    def check(problem, *, polish=True, warm_start=False):
+        config = DistributedConfig(
+            max_iterations=4,
+            warm_start=warm_start,
+            subproblem=SubproblemConfig(max_iter=30, polish=polish),
+        )
+        sparse = SparseProblemInstance.from_dense(problem)
+        dense = solve_distributed(problem, config)
+        compact = solve_distributed_sparse(sparse, config)
+        assert compact.iterations == dense.iterations
+        densified = compact.solution.to_dense(sparse)
+        np.testing.assert_array_equal(densified.caching, dense.solution.caching)
+        np.testing.assert_array_equal(densified.routing, dense.solution.routing)
+        assert compact.cost == pytest.approx(dense.cost, rel=1e-12, abs=1e-12)
+        assert compact.solution.check_feasibility(sparse).feasible
+        assert dense.solution.check_feasibility(problem).feasible
+        return sparse, compact
+
+    @given(small_sparse_problems(), st.booleans(), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_generated_instances(self, problem, polish, warm_start):
+        self.check(problem, polish=polish, warm_start=warm_start)
+
+    def test_group_no_sbs_reaches(self):
+        demand = [[1.0, 0.0, 2.0], [0.0, 3.0, 1.0], [2.0, 2.0, 0.0]]
+        connectivity = [[1, 0, 0], [1, 1, 0]]  # group 2 is heard by nobody
+        self.check(_sparse_problem(demand, connectivity, [1, 2], [2.0, 2.0]))
+
+    def test_sbs_without_demand(self):
+        demand = [[1.0, 2.0, 0.0], [0.0, 0.0, 0.0]]
+        connectivity = [[1, 0], [0, 1], [1, 1]]  # SBS 1 hears a silent group
+        sparse, compact = self.check(_sparse_problem(demand, connectivity, [1, 2, 1], [3.0] * 3))
+        assert sparse.sbs_index(1).pair_ids.size == 0
+        assert compact.solution.routing[1].size == 0
+
+    def test_capacity_at_least_support(self):
+        demand = [[1.0, 0.0, 2.0, 0.0], [0.0, 0.0, 1.0, 0.0]]
+        connectivity = [[1, 1], [0, 1]]
+        sparse, compact = self.check(_sparse_problem(demand, connectivity, [5, 4], [50.0, 50.0]))
+        assert compact.solution.cache_occupancy().tolist() == [4, 4]
+
+    def test_single_sbs(self):
+        demand = [[1.0, 0.0, 2.0], [3.0, 1.0, 0.0]]
+        self.check(_sparse_problem(demand, [[1, 1]], [1], [2.0]), warm_start=True)
+
+    def test_local_view_with_one_file(self):
+        # One content: each local view is a single column whose groups
+        # include ones without demand, the case where numpy's column sum
+        # is pairwise instead of row after row.
+        demand = [[2.0], [0.0], [1.0], [0.0], [3.5], [1.0], [0.0], [2.0], [0.0], [1.0]]
+        connectivity = [[1] * 10, [1, 0] * 5]
+        problem = _sparse_problem(demand, connectivity, [1, 1], [4.0, 3.0])
+        sparse, _ = self.check(problem)
+        assert sparse.pair_subproblem(0).num_files == 1
+
+    def test_popularity_ties(self):
+        demand = np.full((4, 5), 2.0)
+        connectivity = [[1, 1, 0, 1], [0, 1, 1, 1]]
+        self.check(_sparse_problem(demand, connectivity, [2, 2], [5.0, 5.0]), polish=False)
+        self.check(_sparse_problem(demand, connectivity, [2, 2], [5.0, 5.0]))
+
+
+class TestWorkspaceAllocations:
+    """The item buffers are allocated once per run, and the
+    ``subproblem.workspace_allocs`` counter sees every allocation."""
+
+    @staticmethod
+    def allocations(body):
+        registry = perf.PerfRegistry()
+        with perf.collecting(registry):
+            body()
+        return registry.snapshot()["counters"].get("subproblem.workspace_allocs", 0)
+
+    def test_sparse_run_allocates_once(self):
+        city = generate_city_instance(6, 40, 400, reach=2, files_per_group=16, rng=5)
+        sizes = {city.sbs_index(n).pair_ids.size for n in range(city.num_sbs)}
+        assert len(sizes) > 1  # every phase solves a different item count
+        config = DistributedConfig(
+            max_iterations=3, accuracy=0.0, subproblem=SubproblemConfig(polish=False)
+        )
+        assert self.allocations(lambda: solve_distributed_sparse(city, config)) == 1
+        # Polish adds its two trial buffers, once each.
+        polished = DistributedConfig(max_iterations=3, accuracy=0.0)
+        assert self.allocations(lambda: solve_distributed_sparse(city, polished)) == 3
+
+    def test_reserve_grows_only(self):
+        from repro.core.subproblem import SubproblemWorkspace
+
+        def sequence():
+            workspace = SubproblemWorkspace(items=10)
+            storage = workspace.mu.base
+            for size in (4, 10, 7):
+                workspace.reserve(size)
+                assert workspace.mu.shape == (size,)
+                assert workspace.knapsack.allocation.shape == (2, size)
+                assert workspace.mu.base is storage
+            workspace.reserve(11)  # larger than ever before: one allocation
+            assert workspace.mu.base is not storage
+
+        assert self.allocations(sequence) == 2
+
+
+class TestPairSubproblem:
+    """The pair view against its zero-padded block, one solve at a time."""
+
+    def test_matches_block_solve(self):
+        from repro.core.subproblem import solve_subproblem
+
+        config = SubproblemConfig(max_iter=40)
+        compared = 0
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            city = generate_city_instance(5, 30, 200, reach=2, files_per_group=12, rng=seed)
+            for sbs in range(city.num_sbs):
+                index = city.sbs_index(sbs)
+                if index.pair_ids.size == 0:
+                    continue
+                block, _ = city.sub_instance(sbs)
+                view = city.pair_subproblem(sbs)
+                np.testing.assert_array_equal(view.demand, block.demand.ravel()[index.local_flat])
+                on_block = on_pairs = None
+                for _ in range(2):  # cold, then warm-started
+                    others = rng.uniform(0.0, 1.0, size=index.pair_ids.size)
+                    padded = np.zeros(block.demand.shape)
+                    padded.ravel()[index.local_flat] = others
+                    on_block, on_pairs = (
+                        solve_subproblem(
+                            local,
+                            0,
+                            aggregate,
+                            config,
+                            constant_offset=index.bs_offset,
+                            initial_multipliers=None if last is None else last.multipliers,
+                            candidate_caching=None if last is None else last.caching,
+                        )
+                        for local, aggregate, last in (
+                            (block, padded, on_block),
+                            (view, others, on_pairs),
+                        )
+                    )
+                    np.testing.assert_array_equal(on_pairs.caching, on_block.caching)
+                    np.testing.assert_array_equal(
+                        on_pairs.routing, on_block.routing.ravel()[index.local_flat]
+                    )
+                    np.testing.assert_array_equal(
+                        on_pairs.multipliers, on_block.multipliers.ravel()[index.local_flat]
+                    )
+                    assert on_pairs.iterations == on_block.iterations
+                    assert on_pairs.cost == pytest.approx(on_block.cost, rel=1e-12)
+                    compared += 1
+        assert compared >= 20
+
+    def test_rejects_what_it_cannot_solve(self):
+        from repro.core.subproblem import solve_subproblem
+
+        problem = _sparse_problem(
+            [[1.0, 0.0], [0.0, 2.0]], [[1, 1], [0, 0]], [1, 1], [2.0, 2.0]
+        )
+        sparse = SparseProblemInstance.from_dense(problem)
+        with pytest.raises(ValidationError, match="no demand pair"):
+            sparse.pair_subproblem(1)
+        view = sparse.pair_subproblem(0)
+        others = np.zeros(view.num_items)
+        with pytest.raises(ValidationError, match="batched"):
+            solve_subproblem(view, 0, others, SubproblemConfig(fast=False))
+        with pytest.raises(ValidationError, match="sbs must be 0"):
+            solve_subproblem(view, 1, others)
+        with pytest.raises(ValidationError, match="dense ProblemInstance"):
+            solve_subproblem(view, 0, others, cap_slack=0.5)
+        with pytest.raises(ValidationError):
+            solve_subproblem(view, 0, np.zeros(view.num_items + 1))
+        with pytest.raises(ValidationError, match="initial_multipliers"):
+            solve_subproblem(view, 0, others, initial_multipliers=np.zeros(3))
+
+    def test_file_sums_match_the_padded_block_reduce(self):
+        """Per-file sums are bit for bit ``np.add.reduce(block, axis=0)``,
+        including one-file blocks, where numpy sums the column pairwise."""
+        from repro.core.subproblem import PairSubproblem
+
+        rng = np.random.default_rng(7)
+        for _ in range(500):
+            rows, files = int(rng.integers(1, 30)), int(rng.integers(1, 5))
+            block = rng.exponential(size=(rows, files)) * (rng.random((rows, files)) < 0.5)
+            item_row, item_file = np.nonzero(block)
+            values = block[item_row, item_file]
+            view = PairSubproblem(
+                demand=values,
+                coefficients=-values,
+                bs_cost=np.ones(values.size),
+                item_row=item_row,
+                item_file=item_file,
+                num_rows=rows,
+                num_files=files,
+                capacity=1,
+                bandwidth=1.0,
+            )
+            np.testing.assert_array_equal(
+                view.file_sums(values), np.add.reduce(block, axis=0)
+            )
