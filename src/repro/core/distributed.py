@@ -44,7 +44,8 @@ from ..network.messaging import Channel, Message, MessageKind
 from ..privacy.accountant import PrivacyAccountant
 from ..privacy.factory import MechanismConfig, build_mechanism
 from ..privacy.mechanism import LaplacePrivacyMechanism
-from .convergence import CostHistory, PhaseRecord
+from .algorithm1 import Algorithm1Loop, Sweep, check_sweep_order
+from .convergence import CostHistory
 from .cost import total_cost
 from .problem import ProblemInstance
 from .solution import Solution
@@ -824,14 +825,7 @@ class DistributedOptimizer:
         problem = as_dense_problem(problem)
         self.problem = problem
         self.config = config or DistributedConfig()
-        if sweep_order is None:
-            sweep_order = list(range(problem.num_sbs))
-        order = [int(i) for i in sweep_order]
-        if sorted(order) != list(range(problem.num_sbs)):
-            raise ValidationError(
-                f"sweep_order must be a permutation of 0..{problem.num_sbs - 1}"
-            )
-        self._order = order
+        self._order = check_sweep_order(sweep_order, problem.num_sbs)
         self.faults = faults
         if faults is not None and self.config.mode != "gauss-seidel":
             raise ValidationError(
@@ -863,159 +857,32 @@ class DistributedOptimizer:
             )
             agent.resilient = faults is not None
             self.sbss.append(agent)
-        # Per-sweep trace aggregates (populated only while tracing).
-        self._sweep_gaps: List[float] = []
-        self._sweep_norms: List[float] = []
 
-    # -- trace hooks ---------------------------------------------------
-    def _trace_phase(self, record: PhaseRecord, agent: SBSAgent) -> None:
-        """Emit one ``phase`` event mirroring ``record`` (tracing only).
-
-        Per-phase ``solve_seconds`` are measured inline by
-        :meth:`SBSAgent.compute_phase` whenever the active recorder has
-        timings on — tracing alone records phase timings; no
-        :mod:`repro.perf` registry is required.
-        """
-        if not obs.enabled():
-            return
-        fields: Dict[str, object] = {
-            "iteration": record.iteration,
-            "phase": record.phase,
-            "sbs": record.sbs,
-            "cost": record.cost,
-            "noise_l1": record.noise_l1,
-            "retries": record.retries,
-            "stale": record.stale,
-        }
-        stats = agent.last_solve_stats
-        if stats is not None:
-            fields["dual_gap"] = stats["dual_gap"]
-            fields["mu_norm"] = stats["mu_norm"]
-            self._sweep_gaps.append(stats["dual_gap"])
-            self._sweep_norms.append(stats["mu_norm"])
-            if "solve_seconds" in stats:
-                fields["solve_seconds"] = stats["solve_seconds"]
-        obs.emit("phase", **fields)
-
-    def _trace_iteration(
-        self,
-        iteration: int,
-        cost: float,
-        relative_change: Optional[float] = None,
-        *,
-        restoration: bool = False,
-    ) -> None:
-        """Emit one ``iteration`` event with the sweep's aggregates."""
-        if not obs.enabled():
-            return
-        fields: Dict[str, object] = {"iteration": iteration, "cost": float(cost)}
-        if relative_change is not None:
-            fields["relative_change"] = float(relative_change)
-        if restoration:
-            fields["restoration"] = True
-        if self._sweep_gaps:
-            fields["dual_gap_max"] = max(self._sweep_gaps)
-        if self._sweep_norms:
-            fields["mu_norm_max"] = max(self._sweep_norms)
-            fields["mu_norm_mean"] = sum(self._sweep_norms) / len(self._sweep_norms)
-        obs.emit("iteration", **fields)
-
-    # ------------------------------------------------------------------
     def run(self) -> DistributedResult:
         """Execute Algorithm 1 until the accuracy level or iteration cap."""
         problem, config = self.problem, self.config
-        history = CostHistory(initial_cost=problem.max_cost())
-        previous_cost = history.initial_cost
-        converged = False
-        iterations = 0
-        if obs.enabled():
-            obs.emit(
-                "run_start",
-                run="algorithm1",
-                num_sbs=problem.num_sbs,
-                num_groups=problem.num_groups,
-                num_files=problem.num_files,
-                mode=config.mode,
-                coordination=config.coordination,
-                accuracy=config.accuracy,
-                max_iterations=config.max_iterations,
-                private=self.accountant is not None,
-                resilient=self.faults is not None,
-                warm_start=config.warm_start,
-                initial_cost=float(history.initial_cost),
-            )
-
-        # Root causal span: explicit start/finish (not ``with``) so it
-        # closes before the ``run_end`` emit and its event stays inside
-        # the run bracket.  No-op unless the recorder enables spans.
-        run_span = obs.span("run", category="run", mode=config.mode).start()
-
+        resilient = self.faults is not None
+        loop = Algorithm1Loop(
+            config,
+            problem.shape,
+            problem.max_cost(),
+            perf_names=("algorithm1.iterations", "algorithm1.sweep"),
+        )
+        loop.start({"mode": config.mode}, private=self.accountant is not None, resilient=resilient)
         # Initial broadcast: the all-zero aggregate every SBS starts from
         # (the paper's y_{-n}(tau=0) = 0 initialisation).
         self.base_station.broadcast_aggregate(iteration=-1, phase=-1)
-
-        with_prices = config.coordination == "prices"
-        resilient = self.faults is not None
-        for iteration in range(config.max_iterations):
-            slack = config.slack0 * config.slack_decay**iteration if with_prices else 0.0
-            price_step = (
-                config.price_eta0 / (1.0 + config.price_alpha * iteration)
-                if with_prices
-                else None
-            )
-            perf.count("algorithm1.iterations")
-            self._sweep_gaps, self._sweep_norms = [], []
-            with obs.span("iteration", category="iteration", iteration=iteration), perf.timed("algorithm1.sweep"):
+        for sweep in loop.sweeps():
+            with loop.iteration_span(sweep):
                 if resilient:
-                    self.channel.set_time(iteration)
-                    self._resilient_sweep(iteration, history, slack, price_step)
-                elif config.mode == "gauss-seidel":
-                    self._gauss_seidel_sweep(iteration, history, slack, price_step)
+                    self.channel.set_time(sweep.iteration)
+                    self._resilient_sweep(loop, sweep)
+                elif config.mode == "gauss-seidel" or sweep.restoration:
+                    # Restoration is a Gauss-Seidel sweep in Jacobi mode too.
+                    self._gauss_seidel_sweep(loop, sweep)
                 else:
-                    self._jacobi_sweep(iteration, history, slack, price_step)
-            cost = self.base_station.system_cost()
-            history.close_iteration(cost)
-            iterations = iteration + 1
-            denominator = abs(cost) if cost != 0 else 1.0
-            relative_change = abs(previous_cost - cost) / denominator
-            self._trace_iteration(iteration, cost, relative_change)
-            # In prices mode the early sweeps run with a loose slack and
-            # immature prices; a stable cost there says nothing about
-            # optimality, so hold off the convergence test until the
-            # slack has essentially vanished.  Likewise an iteration with
-            # stale phases (crashes, exhausted retries) can leave the cost
-            # frozen without having optimized anything — never let such an
-            # iteration certify convergence.
-            slack_settled = (not with_prices) or slack < 0.02
-            clean_iteration = (not resilient) or history.stale_phase_count(iteration) == 0
-            if slack_settled and clean_iteration and relative_change <= config.accuracy:
-                converged = True
-                break
-            previous_cost = cost
-
-        if with_prices:
-            # Feasibility restoration: one zero-slack sweep with frozen
-            # prices removes any residual over-service left by the
-            # transient slack.
-            self._sweep_gaps, self._sweep_norms = [], []
-            with obs.span(
-                "iteration",
-                category="iteration",
-                iteration=iterations,
-                restoration=True,
-            ):
-                if resilient:
-                    self.channel.set_time(iterations)
-                    self._resilient_sweep(
-                        iterations, history, slack=0.0, price_step=None
-                    )
-                else:
-                    self._gauss_seidel_sweep(
-                        iterations, history, slack=0.0, price_step=None
-                    )
-            restoration_cost = self.base_station.system_cost()
-            history.close_iteration(restoration_cost)
-            self._trace_iteration(iterations, restoration_cost, restoration=True)
+                    self._jacobi_sweep(loop, sweep)
+            loop.end_sweep(self.base_station.system_cost())
 
         unperturbed = np.stack([agent.true_routing for agent in self.sbss])
         solution = Solution(
@@ -1024,42 +891,20 @@ class DistributedOptimizer:
         )
         result = DistributedResult(
             solution=solution,
-            cost=history.final_cost,
-            iterations=iterations,
-            converged=converged,
-            history=history,
+            cost=loop.history.final_cost,
+            iterations=loop.iterations,
+            converged=loop.converged,
+            history=loop.history,
             channel=self.channel,
             unperturbed_routing=unperturbed,
             unperturbed_cost=total_cost(problem, unperturbed),
             accountant=self.accountant,
         )
-        if obs.spans_enabled():
-            run_span.annotate(**obs.resource_attrs(obs.timings_enabled()))
-        run_span.finish()
-        if obs.enabled():
-            # repro-taint: disable=REPRO701 -- deliberate accuracy-loss reporting: pre-noise cost is a scalar system aggregate (Fig. 5)
-            obs.emit(
-                "run_end",
-                final_cost=float(result.cost),
-                iterations=result.iterations,
-                converged=result.converged,
-                total_epsilon=result.total_epsilon,
-                stale_phases=result.stale_phases,
-                total_retries=result.total_retries,
-                phases=len(history.phases),
-                unperturbed_cost=result.unperturbed_cost,
-                channel=dataclasses.asdict(self.channel.stats),
-            )
+        loop.finish(result)
         return result
 
     # ------------------------------------------------------------------
-    def _gauss_seidel_sweep(
-        self,
-        iteration: int,
-        history: CostHistory,
-        slack: float = 0.0,
-        price_step: Optional[float] = None,
-    ) -> None:
+    def _gauss_seidel_sweep(self, loop: Algorithm1Loop, sweep: Sweep) -> None:
         """One iteration, following Algorithm 1's lines 2-5 exactly.
 
         For each phase: the active SBS reads the latest aggregate
@@ -1070,44 +915,22 @@ class DistributedOptimizer:
         information an eavesdropper on the broadcast channel gets to
         see.
         """
+        iteration, slack, price_step = sweep.iteration, sweep.slack, sweep.price_step
         for phase, index in enumerate(self._order):
             agent = self.sbss[index]
-            with obs.span(
-                "phase",
-                category="solve",
-                sbs=agent.index,
-                iteration=iteration,
-                phase=phase,
-            ):
+            with loop.phase_span(phase, agent.index):
                 noise_l1 = agent.run_phase(iteration, phase, cap_slack=slack)
                 self.base_station.collect_upload(agent.index)
-                with obs.span(
-                    "aggregate",
-                    category="aggregate",
-                    sbs=agent.index,
-                    iteration=iteration,
-                    phase=phase,
-                ):
-                    if price_step is not None:
-                        self.base_station.update_prices(price_step)
-                    self.base_station.broadcast_aggregate(iteration, phase)
-                record = PhaseRecord(
-                    iteration=iteration,
-                    phase=phase,
-                    sbs=agent.index,
-                    cost=self.base_station.system_cost(),
+                self._aggregate(agent.index, iteration, phase, price_step)
+                loop.record_phase(
+                    phase,
+                    agent.index,
+                    self.base_station.system_cost(),
+                    agent.last_solve_stats,
                     noise_l1=noise_l1,
                 )
-                history.record_phase(record)
-                self._trace_phase(record, agent)
 
-    def _resilient_sweep(
-        self,
-        iteration: int,
-        history: CostHistory,
-        slack: float = 0.0,
-        price_step: Optional[float] = None,
-    ) -> None:
+    def _resilient_sweep(self, loop: Algorithm1Loop, sweep: Sweep) -> None:
         """One Gauss-Seidel iteration over an unreliable channel.
 
         The same phase structure as :meth:`_gauss_seidel_sweep`, but each
@@ -1117,16 +940,11 @@ class DistributedOptimizer:
         recovered SBSs are restored from their last checkpoint so they
         rejoin mid-run instead of restarting the sweep.
         """
+        iteration, slack, price_step = sweep.iteration, sweep.slack, sweep.price_step
         channel = self.channel
         for phase, index in enumerate(self._order):
             agent = self.sbss[index]
-            with obs.span(
-                "phase",
-                category="solve",
-                sbs=agent.index,
-                iteration=iteration,
-                phase=phase,
-            ) as phase_span:
+            with loop.phase_span(phase, agent.index) as phase_span:
                 if not channel.node_is_up(agent.name):
                     agent.crash()
                     obs.emit(
@@ -1137,39 +955,20 @@ class DistributedOptimizer:
                         phase=phase,
                     )
                     phase_span.annotate(category="straggler", crashed=True)
-                    record = PhaseRecord(
-                        iteration=iteration,
-                        phase=phase,
-                        sbs=agent.index,
-                        cost=self.base_station.system_cost(),
-                        stale=True,
+                    loop.record_phase(
+                        phase, agent.index, self.base_station.system_cost(), stale=True
                     )
-                    history.record_phase(record)
-                    self._trace_phase(record, agent)
                     continue
                 agent.recover(self.checkpoints)
-                report, noise_l1 = agent.compute_phase(
-                    iteration, phase, cap_slack=slack
-                )
-                upload_span = obs.span(
-                    "upload",
-                    category="network",
-                    sbs=agent.index,
-                    iteration=iteration,
-                    phase=phase,
-                )
-                with upload_span:
+                report, noise_l1 = agent.compute_phase(iteration, phase, cap_slack=slack)
+                with obs.span(
+                    "upload", category="network", sbs=agent.index, iteration=iteration, phase=phase
+                ) as upload_span:
                     # repro-taint: disable=REPRO701,REPRO702 -- sanctioned upload release via ARQ retry path (same contract as run_phase)
-                    retries = self._upload_with_retries(
-                        agent, report, iteration, phase
-                    )
+                    retries = self._upload_with_retries(agent, report, iteration, phase)
                     upload_span.annotate(
                         delivered=retries is not None,
-                        retries=(
-                            retries
-                            if retries is not None
-                            else self.config.max_retries
-                        ),
+                        retries=self.config.max_retries if retries is None else retries,
                     )
                     if retries:
                         upload_span.annotate(category="retry")
@@ -1186,40 +985,30 @@ class DistributedOptimizer:
                         phase=phase,
                         retries=self.config.max_retries,
                     )
-                    record = PhaseRecord(
-                        iteration=iteration,
-                        phase=phase,
-                        sbs=agent.index,
-                        cost=self.base_station.system_cost(),
-                        noise_l1=noise_l1,
-                        retries=self.config.max_retries,
-                        stale=True,
-                    )
-                    history.record_phase(record)
-                    self._trace_phase(record, agent)
-                    continue
-                agent.commit_report()
-                agent.save_checkpoint(self.checkpoints, iteration)
-                with obs.span(
-                    "aggregate",
-                    category="aggregate",
-                    sbs=agent.index,
-                    iteration=iteration,
-                    phase=phase,
-                ):
-                    if price_step is not None:
-                        self.base_station.update_prices(price_step)
-                    self.base_station.broadcast_aggregate(iteration, phase)
-                record = PhaseRecord(
-                    iteration=iteration,
-                    phase=phase,
-                    sbs=agent.index,
-                    cost=self.base_station.system_cost(),
+                else:
+                    agent.commit_report()
+                    agent.save_checkpoint(self.checkpoints, iteration)
+                    self._aggregate(agent.index, iteration, phase, price_step)
+                loop.record_phase(
+                    phase,
+                    agent.index,
+                    self.base_station.system_cost(),
+                    agent.last_solve_stats,
                     noise_l1=noise_l1,
-                    retries=retries,
+                    retries=self.config.max_retries if retries is None else retries,
+                    stale=retries is None,
                 )
-                history.record_phase(record)
-                self._trace_phase(record, agent)
+
+    def _aggregate(
+        self, index: int, iteration: int, phase: int, price_step: Optional[float]
+    ) -> None:
+        """Line 5 after SBS ``index``'s upload: update prices, broadcast."""
+        with obs.span(
+            "aggregate", category="aggregate", sbs=index, iteration=iteration, phase=phase
+        ):
+            if price_step is not None:
+                self.base_station.update_prices(price_step)
+            self.base_station.broadcast_aggregate(iteration, phase)
 
     def _upload_with_retries(
         self, agent: SBSAgent, report: np.ndarray, iteration: int, phase: int
@@ -1278,13 +1067,7 @@ class DistributedOptimizer:
             )
         return None
 
-    def _jacobi_sweep(
-        self,
-        iteration: int,
-        history: CostHistory,
-        slack: float = 0.0,
-        price_step: Optional[float] = None,
-    ) -> None:
+    def _jacobi_sweep(self, loop: Algorithm1Loop, sweep: Sweep) -> None:
         """All SBSs best-respond to the same (stale) aggregate, with damping.
 
         Each SBS's subproblem solve is timed inside
@@ -1292,6 +1075,7 @@ class DistributedOptimizer:
         per-SBS ``solve_seconds`` here too (the solves all happen before
         the fold loop, but each duration is attributable to its SBS).
         """
+        iteration, slack, price_step = sweep.iteration, sweep.slack, sweep.price_step
         uploads: Dict[int, float] = {}
         workers = min(self.config.jacobi_workers, len(self._order))
         if workers > 1:
@@ -1334,15 +1118,13 @@ class DistributedOptimizer:
                 damped = self.config.damping * block + (1.0 - self.config.damping) * previous
                 self.base_station.reports[agent.index] = damped
                 agent.last_report = damped
-            record = PhaseRecord(
-                iteration=iteration,
-                phase=phase,
-                sbs=agent.index,
-                cost=self.base_station.system_cost(),
+            loop.record_phase(
+                phase,
+                agent.index,
+                self.base_station.system_cost(),
+                agent.last_solve_stats,
                 noise_l1=uploads[agent.index],
             )
-            history.record_phase(record)
-            self._trace_phase(record, agent)
         if price_step is not None:
             self.base_station.update_prices(price_step)
         self.base_station.broadcast_aggregate(iteration, phase=len(self.sbss))

@@ -35,7 +35,9 @@ derived from them.  Three consumption paths exist:
    aggregate kept as a vector over the demand's nonzeros instead of a
    ``(U, F)`` matrix.  The batched oracle solves the pair views, so
    per-phase work is ``O(P_n)`` per dual iteration; the reference
-   oracle tiers solve the padded blocks.
+   oracle tiers solve the padded blocks.  The outer loop — convergence,
+   trace events and spans — is the one every solver shares
+   (:mod:`repro.core.algorithm1`); only the phase body is sparse.
 
 Equivalence with the dense solver
 ---------------------------------
@@ -56,14 +58,16 @@ set-exact on caches, bit-exact on routing and tight-tolerance on costs.
 from __future__ import annotations
 
 import dataclasses
+import time
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .. import obs, perf
+from .. import obs
 from .._validation import as_float_array, require
 from ..exceptions import ValidationError
-from .convergence import CostHistory, PhaseRecord
+from .algorithm1 import Algorithm1Loop, check_sweep_order
+from .convergence import CostHistory
 from .distributed import DistributedConfig
 from .problem import ProblemInstance
 from .solution import ConstraintViolation, FeasibilityReport, Solution
@@ -880,8 +884,16 @@ def solve_distributed_sparse(
 ) -> SparseDistributedResult:
     """Run Algorithm 1's Gauss-Seidel sweep on the compact representation.
 
-    Each SBS's pair vectors are built once per run
-    (:meth:`SparseProblemInstance.pair_subproblem`).  Per phase, the
+    The outer loop is the shared
+    :class:`~repro.core.algorithm1.Algorithm1Loop`: the same convergence
+    test as the dense optimizer, and the same ``run_start`` / ``phase`` /
+    ``iteration`` / ``run_end`` events (tagged ``sparse=True``) and
+    ``run`` / ``iteration`` / ``phase`` spans, so ``repro-trace`` reads a
+    sparse run like a dense one — per-phase ``solve_seconds`` and
+    critical path included.
+
+    The phase body is sparse.  Each SBS's pair vectors are built once per
+    run (:meth:`SparseProblemInstance.pair_subproblem`).  Per phase, the
     active SBS solves ``P_n`` on them with
     :func:`~repro.core.subproblem.solve_subproblem` — a ``(P_n,)``
     aggregate of the other SBSs' routing in, ``(P_n,)`` routing out, one
@@ -891,10 +903,7 @@ def solve_distributed_sparse(
     the aggregate on exactly those pairs and re-evaluates the system
     cost in ``O(nnz)``.  The reference oracle tiers (``fast=False``,
     ``oracle="hoisted"``) solve the zero-padded
-    :meth:`SparseProblemInstance.sub_instance` blocks instead.  Convergence uses the same relative-cost test as the
-    dense optimizer, and the run emits the same ``run_start`` /
-    ``phase`` / ``iteration`` / ``run_end`` trace events (tagged
-    ``sparse=True``) so ``repro-trace validate`` applies unchanged.
+    :meth:`SparseProblemInstance.sub_instance` blocks instead.
 
     Unsupported dense features raise: Jacobi mode, price coordination,
     restarts, privacy and fault injection all require the dense
@@ -918,14 +927,7 @@ def solve_distributed_sparse(
             "restarts are a dense-solver feature; run the sparse solver once per order"
         )
     num_sbs = instance.num_sbs
-    if sweep_order is None:
-        order = list(range(num_sbs))
-    else:
-        order = [int(i) for i in sweep_order]
-        if sorted(order) != list(range(num_sbs)):
-            raise ValidationError(
-                f"sweep_order must be a permutation of 0..{num_sbs - 1}"
-            )
+    order = check_sweep_order(sweep_order, num_sbs)
 
     indexes = [instance.sbs_index(n) for n in range(num_sbs)]
     # The batched oracle solves each SBS's pair vectors, built once per
@@ -952,127 +954,77 @@ def solve_distributed_sparse(
     multipliers: List[Optional[np.ndarray]] = [None] * num_sbs
     pair_bs_weight = instance.pair_bs_weight()
 
-    history = CostHistory(initial_cost=instance.max_cost())
-    previous_cost = history.initial_cost
-    cost = history.initial_cost
-    converged = False
-    iterations = 0
-    if obs.enabled():
-        obs.emit(
-            "run_start",
-            run="algorithm1",
-            num_sbs=num_sbs,
-            num_groups=instance.num_groups,
-            num_files=instance.num_files,
-            mode=config.mode,
-            coordination=config.coordination,
-            accuracy=config.accuracy,
-            max_iterations=config.max_iterations,
-            private=False,
-            resilient=False,
-            warm_start=config.warm_start,
-            initial_cost=float(history.initial_cost),
-            sparse=True,
-            demand_nnz=instance.demand_nnz,
-            num_links=instance.num_links,
-        )
-
     def system_cost() -> float:
         residual = np.maximum(1.0 - aggregate.values, 0.0)
         return float(np.sum(f1_terms)) + float(np.dot(pair_bs_weight, residual))
 
-    run_span = obs.span(
-        "run", category="run", mode=config.mode, sparse=True
-    ).start()
-    for iteration in range(config.max_iterations):
-        perf.count("algorithm1.sparse_iterations")
-        sweep_gaps: List[float] = []
-        sweep_norms: List[float] = []
-        with obs.span(
-            "iteration", category="iteration", iteration=iteration
-        ), perf.timed("algorithm1.sparse_sweep"):
+    loop = Algorithm1Loop(
+        config,
+        instance.shape,
+        instance.max_cost(),
+        perf_names=("algorithm1.sparse_iterations", "algorithm1.sparse_sweep"),
+    )
+    loop.start(
+        {"mode": config.mode, "sparse": True},
+        private=False,
+        resilient=False,
+        sparse=True,
+        demand_nnz=instance.demand_nnz,
+        num_links=instance.num_links,
+    )
+    cost = loop.history.initial_cost
+    for sweep in loop.sweeps():
+        with loop.iteration_span(sweep):
             for phase, sbs in enumerate(order):
                 index = indexes[sbs]
                 stats: Optional[Dict[str, float]] = None
-                if index.pair_ids.size:
-                    own = aggregate.reports[aggregate.slice_of(sbs)]
-                    others = aggregate.values[index.pair_ids] - own
-                    np.clip(others, 0.0, None, out=others)
-                    if pair_native:
-                        local, local_others = views[sbs], others
+                with loop.phase_span(phase, sbs):
+                    if index.pair_ids.size:
+                        own = aggregate.reports[aggregate.slice_of(sbs)]
+                        others = aggregate.values[index.pair_ids] - own
+                        np.clip(others, 0.0, None, out=others)
+                        if pair_native:
+                            local, local_others = views[sbs], others
+                        else:
+                            local, _ = instance.sub_instance(sbs)
+                            local_others = np.zeros((index.groups.size, index.files.size))
+                            local_others.ravel()[index.local_flat] = others
+                        solve_started = time.perf_counter() if obs.timings_enabled() else None
+                        solution = solve_subproblem(
+                            local,
+                            0,
+                            local_others,
+                            config.subproblem,
+                            initial_multipliers=(
+                                multipliers[sbs] if config.warm_start else None
+                            ),
+                            candidate_caching=local_caching[sbs],
+                            workspace=workspace,
+                            constant_offset=index.bs_offset,
+                        )
+                        if obs.enabled():
+                            stats = {"dual_gap": float(solution.cost - solution.best_dual)}
+                            if solution.multipliers is not None:
+                                stats["mu_norm"] = float(np.linalg.norm(solution.multipliers))
+                            if solve_started is not None:
+                                stats["solve_seconds"] = time.perf_counter() - solve_started
+                        report = solution.routing.ravel()
+                        if not pair_native:
+                            report = report[index.local_flat]
+                        aggregate.reports[aggregate.slice_of(sbs)] = report
+                        aggregate.refresh(index.pair_ids)
+                        f1_terms[sbs] = float(np.dot(index.pair_link_weight, report))
+                        local_caching[sbs] = solution.caching
+                        caching[sbs] = index.files[np.flatnonzero(solution.caching > 0.0)]
+                        if config.warm_start and solution.multipliers is not None:
+                            multipliers[sbs] = solution.multipliers.ravel()
                     else:
-                        local, _ = instance.sub_instance(sbs)
-                        local_others = np.zeros((index.groups.size, index.files.size))
-                        local_others.ravel()[index.local_flat] = others
-                    solution = solve_subproblem(
-                        local,
-                        0,
-                        local_others,
-                        config.subproblem,
-                        initial_multipliers=(
-                            multipliers[sbs] if config.warm_start else None
-                        ),
-                        candidate_caching=local_caching[sbs],
-                        workspace=workspace,
-                        constant_offset=index.bs_offset,
-                    )
-                    report = solution.routing.ravel()
-                    if not pair_native:
-                        report = report[index.local_flat]
-                    aggregate.reports[aggregate.slice_of(sbs)] = report
-                    aggregate.refresh(index.pair_ids)
-                    f1_terms[sbs] = float(np.dot(index.pair_link_weight, report))
-                    local_caching[sbs] = solution.caching
-                    caching[sbs] = index.files[np.flatnonzero(solution.caching > 0.0)]
-                    if config.warm_start and solution.multipliers is not None:
-                        multipliers[sbs] = solution.multipliers.ravel()
-                    stats = {"dual_gap": float(solution.cost - solution.best_dual)}
-                    if solution.multipliers is not None:
-                        stats["mu_norm"] = float(np.linalg.norm(solution.multipliers))
-                    sweep_gaps.append(stats["dual_gap"])
-                    if "mu_norm" in stats:
-                        sweep_norms.append(stats["mu_norm"])
-                else:
-                    # No reachable demand: nothing to route, and the dense
-                    # filler would cache the lowest-indexed contents.
-                    caching[sbs] = index.files[: index.capacity]
-                cost = system_cost()
-                history.record_phase(
-                    PhaseRecord(iteration=iteration, phase=phase, sbs=sbs, cost=cost)
-                )
-                if obs.enabled():
-                    fields: Dict[str, object] = {
-                        "iteration": iteration,
-                        "phase": phase,
-                        "sbs": sbs,
-                        "cost": cost,
-                        "noise_l1": 0.0,
-                        "retries": 0,
-                        "stale": False,
-                    }
-                    if stats is not None:
-                        fields.update(stats)
-                    obs.emit("phase", **fields)
-        history.close_iteration(cost)
-        iterations = iteration + 1
-        denominator = abs(cost) if cost != 0 else 1.0
-        relative_change = abs(previous_cost - cost) / denominator
-        if obs.enabled():
-            fields = {
-                "iteration": iteration,
-                "cost": float(cost),
-                "relative_change": float(relative_change),
-            }
-            if sweep_gaps:
-                fields["dual_gap_max"] = max(sweep_gaps)
-            if sweep_norms:
-                fields["mu_norm_max"] = max(sweep_norms)
-                fields["mu_norm_mean"] = sum(sweep_norms) / len(sweep_norms)
-            obs.emit("iteration", **fields)
-        if relative_change <= config.accuracy:
-            converged = True
-            break
-        previous_cost = cost
+                        # No reachable demand: nothing to route, and the dense
+                        # filler would cache the lowest-indexed contents.
+                        caching[sbs] = index.files[: index.capacity]
+                    cost = system_cost()
+                    loop.record_phase(phase, sbs, cost, stats)
+        loop.end_sweep(cost)
 
     solution = SparseSolution(
         num_sbs=num_sbs,
@@ -1085,23 +1037,10 @@ def solve_distributed_sparse(
     )
     result = SparseDistributedResult(
         solution=solution,
-        cost=history.final_cost,
-        iterations=iterations,
-        converged=converged,
-        history=history,
+        cost=loop.history.final_cost,
+        iterations=loop.iterations,
+        converged=loop.converged,
+        history=loop.history,
     )
-    if obs.spans_enabled():
-        run_span.annotate(**obs.resource_attrs(obs.timings_enabled()))
-    run_span.finish()
-    if obs.enabled():
-        obs.emit(
-            "run_end",
-            final_cost=float(result.cost),
-            iterations=result.iterations,
-            converged=result.converged,
-            total_epsilon=None,
-            stale_phases=0,
-            total_retries=0,
-            phases=len(history.phases),
-        )
+    loop.finish(result)
     return result

@@ -617,7 +617,6 @@ def _solve_items(
     recovery_order = kw.order[1, :recovery_paid]
     recovery_file = item_file.take(recovery_order)
     recovery_caps = caps.take(recovery_order)
-    recovery_w_eff = kw.w_eff[1, :recovery_paid]
     recovery_w = kw.w_sorted[1, :recovery_paid]
 
     def recover(caching: np.ndarray) -> Tuple[np.ndarray, float]:
@@ -628,7 +627,7 @@ def _solve_items(
         if recovery_paid:
             sorted_full = kw.sorted_full[1, :recovery_paid]
             np.multiply(recovery_caps, caching.take(recovery_file), out=sorted_full)
-            np.multiply(sorted_full, recovery_w_eff, out=sorted_full)
+            np.multiply(sorted_full, recovery_w, out=sorted_full)
             before = kw.before[1, :recovery_paid]
             before[0] = 0.0
             sorted_full[:-1].cumsum(out=before[1:])
@@ -662,7 +661,7 @@ def _solve_items(
             sorted_full = scratch.sorted_full[:count, :recovery_paid]
             # Same grouping as the scalar path: (cap * trial) * w.
             np.multiply(recovery_caps, trials[:, recovery_file], out=sorted_full)
-            np.multiply(sorted_full, recovery_w_eff, out=sorted_full)
+            np.multiply(sorted_full, recovery_w, out=sorted_full)
             before = scratch.before[:count, :recovery_paid]
             before[:, 0] = 0.0
             sorted_full[:, :-1].cumsum(axis=1, out=before[:, 1:])

@@ -1,10 +1,11 @@
 """Randomized exact-parity suites for the batched numpy kernels.
 
-The batched fractional-knapsack and the batched subgradient ascent are
-only admissible because they are *bit-identical* to the scalar paths —
-same stable tie-breaking, same floating-point operation order.  These
-suites hammer that claim with seeded random instances, degenerate cases
-included, asserting exact equality (no tolerances anywhere).
+The batched fractional-knapsack row kernel and the batched subgradient
+ascent are only admissible because they are *bit-identical* to the
+scalar paths — same stable tie-breaking, same floating-point operation
+order.  These suites hammer that claim with seeded random instances,
+degenerate cases included, asserting exact equality (no tolerances
+anywhere).
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from repro.core.subproblem import (
 from repro.solvers.fractional_knapsack import (
     KnapsackBatchWorkspace,
     solve_fractional_knapsack,
-    solve_fractional_knapsack_batch,
 )
 
 from conftest import random_problem
@@ -45,29 +45,62 @@ def _random_knapsack(rng: np.random.Generator, batch: int, items: int):
     return costs, weights, caps, budget
 
 
+def _row_kernel(costs, weights, caps, budget, *, scaled, workspace=None):
+    """Every row through the production kernel: bind, prepare, solve.
+
+    ``scaled`` routes the solve through ``solve_row_scaled`` with the
+    ``caps * weights`` products precomputed, as the dual routing row of
+    the ascent does; otherwise through ``solve_row``.
+    """
+    rows, items = costs.shape
+    if workspace is None:
+        workspace = KnapsackBatchWorkspace(rows, items)
+    workspace.resize(items)
+    workspace.bind_weights(weights)
+    allocations = np.empty_like(costs)
+    for row in range(rows):
+        workspace.prepare_row(row, costs[row])
+        if scaled:
+            allocation = workspace.solve_row_scaled(
+                row, caps[row] * weights, caps[row], budget
+            )
+        else:
+            allocation = workspace.solve_row(row, caps[row], budget)
+        allocations[row] = allocation
+    return allocations
+
+
+def _assert_rows_match_scalar(costs, weights, caps, budget, *, workspace=None, label=""):
+    """Both row kernels equal the scalar solver bit for bit on every row."""
+    for scaled in (False, True):
+        allocations = _row_kernel(
+            costs, weights, caps, budget, scaled=scaled, workspace=workspace
+        )
+        for row in range(costs.shape[0]):
+            scalar = solve_fractional_knapsack(costs[row], weights, budget, caps[row])
+            assert np.array_equal(allocations[row], scalar.allocation), (
+                f"{label} row {row} (scaled={scaled}): allocations differ"
+            )
+            assert float(costs[row] @ allocations[row]) == scalar.objective
+            assert float(weights @ allocations[row]) == scalar.budget_used
+
+
 class TestKnapsackBatchParity:
-    """Batched knapsack vs ``solve_fractional_knapsack``: exact, always."""
+    """Production row kernel vs ``solve_fractional_knapsack``: exact, always."""
 
     def test_random_instances_exact(self):
         """~200 random batches, each row checked against the scalar solver."""
         rng = np.random.default_rng(1234)
-        workspace = None
+        workspace = KnapsackBatchWorkspace(5, 1)
         for case in range(200):
             batch = int(rng.integers(1, 6))
             items = int(rng.integers(1, 25))
             costs, weights, caps, budget = _random_knapsack(rng, batch, items)
             if case % 11 == 0:
                 budget = 0.0  # degenerate: no budget at all
-            result = solve_fractional_knapsack_batch(
-                costs, weights, budget, caps, workspace=workspace
+            _assert_rows_match_scalar(
+                costs, weights, caps, budget, workspace=workspace, label=f"case {case}"
             )
-            for b in range(batch):
-                scalar = solve_fractional_knapsack(costs[b], weights, budget, caps[b])
-                assert np.array_equal(result.allocations[b], scalar.allocation), (
-                    f"case {case} row {b}: allocations differ"
-                )
-                assert result.objectives[b] == scalar.objective
-                assert result.budgets_used[b] == scalar.budget_used
 
     def test_single_item_rows(self):
         """The smallest possible instance, profitable and not."""
@@ -77,10 +110,7 @@ class TestKnapsackBatchParity:
             weights = rng.uniform(0.0, 2.0, size=1)
             caps = rng.uniform(0.0, 2.0, size=(1, 1))
             budget = float(rng.uniform(0.0, 2.0))
-            result = solve_fractional_knapsack_batch(costs, weights, budget, caps)
-            scalar = solve_fractional_knapsack(costs[0], weights, budget, caps[0])
-            assert np.array_equal(result.allocations[0], scalar.allocation)
-            assert result.objectives[0] == scalar.objective
+            _assert_rows_match_scalar(costs, weights, caps, budget)
 
     def test_all_ties_all_profitable(self):
         """Every item identical: stable order must match the scalar sort."""
@@ -88,33 +118,25 @@ class TestKnapsackBatchParity:
         costs = np.full((3, items), -1.0)
         weights = np.full(items, 0.5)
         caps = np.ones((3, items))
-        budget = 2.0
-        result = solve_fractional_knapsack_batch(costs, weights, budget, caps)
-        for b in range(3):
-            scalar = solve_fractional_knapsack(costs[b], weights, budget, caps[b])
-            assert np.array_equal(result.allocations[b], scalar.allocation)
+        _assert_rows_match_scalar(costs, weights, caps, 2.0)
 
     def test_zero_capacity_everywhere(self):
         costs = np.array([[-1.0, -2.0, -3.0]])
         weights = np.array([1.0, 1.0, 1.0])
         caps = np.zeros((1, 3))
-        result = solve_fractional_knapsack_batch(costs, weights, 5.0, caps)
-        scalar = solve_fractional_knapsack(costs[0], weights, 5.0, caps[0])
-        assert np.array_equal(result.allocations[0], scalar.allocation)
-        assert result.objectives[0] == scalar.objective == 0.0
+        _assert_rows_match_scalar(costs, weights, caps, 5.0)
+        allocation = _row_kernel(costs, weights, caps, 5.0, scaled=False)
+        assert float(costs[0] @ allocation[0]) == 0.0
 
     def test_workspace_reuse_across_batch_shapes(self):
-        """A stale workspace of the wrong shape must be replaced, not trusted."""
+        """One workspace, resized across item counts, stays exact."""
         rng = np.random.default_rng(99)
-        workspace = KnapsackBatchWorkspace(2, 4)
-        for batch, items in ((2, 4), (3, 7), (1, 2), (5, 20)):
+        workspace = KnapsackBatchWorkspace(5, 4)
+        for batch, items in ((2, 4), (3, 7), (1, 2), (5, 20), (4, 3)):
             costs, weights, caps, budget = _random_knapsack(rng, batch, items)
-            result = solve_fractional_knapsack_batch(
-                costs, weights, budget, caps, workspace=workspace
+            _assert_rows_match_scalar(
+                costs, weights, caps, budget, workspace=workspace, label=f"{batch}x{items}"
             )
-            for b in range(batch):
-                scalar = solve_fractional_knapsack(costs[b], weights, budget, caps[b])
-                assert np.array_equal(result.allocations[b], scalar.allocation)
 
 
 class TestSubgradientStepParity:
