@@ -18,9 +18,9 @@ The paper solves this by Lagrangian dual decomposition:
    (Eq. 23).
 
 Because the dual iterates' primal pairs need not be jointly feasible, we
-add standard *primal recovery*: at every dual iteration the candidate
-cache set is evaluated exactly (best feasible routing for that set via
-the knapsack) and the cheapest feasible pair seen is returned.  An
+add standard *primal recovery*: every cache set the dual iterates visit
+is evaluated exactly (best feasible routing for that set via the
+knapsack) and the cheapest feasible pair is returned.  An
 optional local-search polish swaps files in/out of the best cache set
 until no single swap improves the cost, and an exhaustive solver is
 provided for validating optimality on tiny instances.
@@ -34,8 +34,10 @@ Three oracle tiers back the dual ascent (``SubproblemConfig.oracle``):
   The caching subproblem keeps its ``(F,)`` cache vector and gets its
   per-file multiplier sums by ``np.bincount`` over the item -> file map;
   every mask, knapsack row and subgradient step runs over the items
-  only, in preallocated :class:`SubproblemWorkspace` buffers.  The
-  kernel has two callers:
+  only, in preallocated :class:`SubproblemWorkspace` buffers.  Primal
+  recovery is deferred: the ascent records the distinct cache sets it
+  visits and evaluates them in batches afterwards, with a greedy over
+  the paid items of the cached files only.  The kernel has two callers:
 
   - a dense :class:`~repro.core.problem.ProblemInstance`, whose items
     are all ``U * F`` cells in C order — the whole block, bit for bit
@@ -84,11 +86,9 @@ __all__ = [
     "routing_subproblem",
 ]
 
-# Polish trials are evaluated in chunks of this many candidate cache
-# vectors: improving passes usually accept a trial from the first chunk
-# (the scalar loop would have stopped there too), so later chunks are
-# never materialized, and the chunk size bounds the trial scratch
-# buffers of :class:`SubproblemWorkspace`.
+# Cache sets (recovery candidates, polish trials) are evaluated in
+# chunks of this many rows; the chunk size bounds the trial buffers of
+# :class:`SubproblemWorkspace`.
 _TRIAL_CHUNK = 32
 
 
@@ -227,9 +227,11 @@ class SubproblemWorkspace:
     dense instance, ``P`` pairs on a :class:`PairSubproblem` — plus the
     batched tier's 2-row
     :class:`~repro.solvers.fractional_knapsack.KnapsackBatchWorkspace`
-    (row 0: the dual routing subproblem, row 1: primal recovery), so a
-    whole dual iteration runs without allocating and a caller that
-    solves repeatedly pays the allocations once.
+    (row 0: the dual routing subproblem, row 1: the greedy order of
+    primal recovery) and the ``(_TRIAL_CHUNK, items)`` buffers of its
+    cache-set evaluations, so a whole dual iteration runs without
+    allocating and a caller that solves repeatedly pays the allocations
+    once.
 
     The storage only grows.  :func:`solve_subproblem` calls
     :meth:`reserve` with the item count of each solve, which re-cuts the
@@ -252,8 +254,7 @@ class SubproblemWorkspace:
         "batch_costs",
         "knapsack",
         "_store",
-        "_trial_prod",
-        "_trial_scratch",
+        "_trials",
     )
 
     def __init__(self, problem: Optional[ProblemInstance] = None, *, items: int = 1) -> None:
@@ -270,13 +271,10 @@ class SubproblemWorkspace:
             perf.count("subproblem.workspace_allocs")
             self._store = np.empty((8, items))
             self.knapsack = KnapsackBatchWorkspace(2, items)
-            # The polish trial buffers are (_TRIAL_CHUNK, items)-sized —
-            # by far the largest scratch in the workspace — and are only
-            # touched when the polish pass evaluates swap candidates, so
-            # they are allocated lazily; solves with polish disabled
-            # never pay for them.
-            self._trial_prod: Optional[np.ndarray] = None
-            self._trial_scratch: Optional[KnapsackBatchWorkspace] = None
+            # The trial buffers are the largest scratch in the workspace
+            # and only the batched tier evaluates cache sets, so they are
+            # allocated on first use.
+            self._trials: Optional[np.ndarray] = None
         else:
             self.knapsack.resize(items)
         self.items = items
@@ -284,22 +282,14 @@ class SubproblemWorkspace:
         self.caps, self.priced_mu, self.mu, self.subgrad, self.prod, self.masked_caps = rows[:6]
         self.batch_costs = rows[6:]
 
-    @property
-    def trial_prod(self) -> np.ndarray:
-        """Lazily allocated ``(_TRIAL_CHUNK, items)`` polish product scratch."""
-        if self._trial_prod is None:
+    def trial_buffers(self, count: int) -> Tuple[np.ndarray, np.ndarray]:
+        """``(allocation, product)`` scratch for ``count <= _TRIAL_CHUNK``
+        evaluated cache sets, each ``(count, items)``; allocated on first use."""
+        if self._trials is None:
             perf.count("subproblem.workspace_allocs")
-            self._trial_prod = np.empty(_TRIAL_CHUNK * self._store.shape[1])
-        return self._trial_prod[: _TRIAL_CHUNK * self.items].reshape(_TRIAL_CHUNK, self.items)
-
-    @property
-    def trial_scratch(self) -> KnapsackBatchWorkspace:
-        """Lazily allocated ``_TRIAL_CHUNK``-row polish knapsack workspace."""
-        if self._trial_scratch is None:
-            perf.count("subproblem.workspace_allocs")
-            self._trial_scratch = KnapsackBatchWorkspace(_TRIAL_CHUNK, self._store.shape[1])
-        self._trial_scratch.resize(self.items)
-        return self._trial_scratch
+            self._trials = np.empty((2, _TRIAL_CHUNK * self._store.shape[1]))
+        allocation, product = self._trials[:, : count * self.items].reshape(2, count, self.items)
+        return allocation, product
 
 
 def _routing_coefficients(problem: ProblemInstance, sbs: int) -> np.ndarray:
@@ -359,21 +349,32 @@ def _select_cache_set(
     """Shared greedy selection: top-``capacity`` positive aggregated
     multipliers, remaining slots filled along ``filler_order``.
 
-    Vectorized but equivalent to the original first-come scan: the
-    chosen *set* (and therefore the binary caching vector) is identical.
+    The chosen *set* is the positive part of the first ``capacity``
+    entries of a stable descending sort, found without sorting: when
+    more than ``capacity`` multipliers are positive, a partition of the
+    positives places the cut, every value above it is taken, and ties at
+    the cut go to the lowest file ids.  At most ``capacity`` files are
+    taken before the filler, so its picks lie within the first
+    ``capacity`` entries of ``filler_order``.
     """
     caching = np.zeros(num_files)
     if capacity == 0:
         return caching
-    order = np.argsort(-aggregated, kind="stable")
-    head = order[:capacity]
-    take = head[aggregated[head] > 0]
+    take = (aggregated > 0).nonzero()[0]
+    surplus = take.size - capacity
+    if surplus > 0:
+        values = aggregated[take]
+        values.partition(surplus)
+        cut = values[surplus]
+        above = aggregated > cut
+        caching[above] = 1.0
+        ties = (aggregated == cut).nonzero()[0]
+        caching[ties[: capacity - np.count_nonzero(above)]] = 1.0
+        return caching
     caching[take] = 1.0
-    if take.size < capacity and filler_order is not None:
-        taken = np.zeros(num_files, dtype=bool)
-        taken[take] = True
-        fill = filler_order[~taken[filler_order]][: capacity - take.size]
-        caching[fill] = 1.0
+    if surplus < 0 and filler_order is not None:
+        head = filler_order[:capacity]
+        caching[head[caching[head] == 0][:-surplus]] = 1.0
     return caching
 
 
@@ -424,6 +425,34 @@ def _evaluate_cache_set(
         coefficients = coefficients + extra_cost
     cost = constant + float(np.sum(coefficients * routing))
     return routing, cost
+
+
+def _best_trial(
+    trials: np.ndarray,
+    batch_evaluate: Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]],
+    below: float,
+    first: bool = False,
+) -> Optional[Tuple[np.ndarray, np.ndarray, float]]:
+    """``(caching, routing, cost)`` of the winning row of ``(T, F)`` trial
+    cache vectors costing below ``below``, or ``None``.
+
+    Trials are evaluated ``_TRIAL_CHUNK`` rows at a time.  With ``first``
+    the winner is the first such trial and later chunks are skipped (the
+    polish's first-improvement rule); otherwise it is the cheapest, the
+    earliest on ties: the trial a sequential strict-``<`` scan keeps.
+    """
+    found = None
+    for start in range(0, trials.shape[0], _TRIAL_CHUNK):
+        chunk = trials[start : start + _TRIAL_CHUNK]
+        routings, costs = batch_evaluate(chunk)
+        better = np.flatnonzero(costs < below)
+        if better.size:
+            pick = int(better[0]) if first else int(np.argmin(costs))
+            below = float(costs[pick])
+            found = chunk[pick].copy(), routings[pick].copy(), below
+            if first:
+                break
+    return found
 
 
 def _polish_cache_set(
@@ -484,21 +513,12 @@ def _polish_cache_set(
                 rows = np.arange(outs.size * num_in)
                 trials[rows, np.repeat(outs, num_in)] = 0.0
                 trials[rows, np.tile(candidates, outs.size)] = 1.0
-                # Chunked evaluation with early exit: the first improving
-                # trial ends the pass (exactly where the scalar loop
-                # stops), so improving passes usually pay for one chunk
-                # instead of the full trial matrix.
-                for start in range(0, trials.shape[0], _TRIAL_CHUNK):
-                    chunk = trials[start : start + _TRIAL_CHUNK]
-                    routings, costs = batch_evaluate(chunk)
-                    better = np.flatnonzero(costs < best_cost - 1e-12)
-                    if better.size:
-                        pick = int(better[0])
-                        caching = chunk[pick].copy()
-                        best_routing = routings[pick].copy()
-                        best_cost = float(costs[pick])
-                        improved = True
-                        break
+                # The first improving trial ends the pass, exactly where
+                # the scalar loop stops.
+                found = _best_trial(trials, batch_evaluate, best_cost - 1e-12, first=True)
+                if found is not None:
+                    caching, best_routing, best_cost = found
+                    improved = True
         else:
             for f_out in cached_files:
                 for f_in in candidates:
@@ -575,12 +595,14 @@ def _solve_items(
     """The batched tier: projected dual ascent over an item vector.
 
     Same control flow as :func:`repro.solvers.subgradient.subgradient_ascent`
-    with the oracle fused in.  Per dual iteration: one ``(F,)`` cache
-    set selection, one knapsack row for the dual routing subproblem,
-    primal recovery of cache sets not seen before, and an in-place
-    projected subgradient step — nothing allocated beyond the paid-item
-    argsort and the ``(F,)``-sized vectors.  ``ws`` must be reserved for
-    the item count.
+    with the oracle fused in.  Per dual iteration: one O(F) cache set
+    selection, one knapsack row for the dual routing subproblem, an
+    in-place projected subgradient step, and the cache set recorded if
+    it is new — nothing allocated beyond the paid-item argsort and
+    ``(F,)``-sized vectors.  After the ascent, primal recovery evaluates
+    the recorded sets in ``_TRIAL_CHUNK``-row batches and keeps the one
+    a strict-``<`` scan in visit order would keep.  ``ws`` must be
+    reserved for the item count.
     """
     num_files = view.num_files
     item_file = view.item_file
@@ -595,10 +617,9 @@ def _solve_items(
     schedule = _step_schedule(config, coefficients, warm)
 
     # Row 0 of the knapsack batch is the dual routing subproblem (costs
-    # change with mu each iteration), row 1 is primal recovery (costs
-    # are the fixed priced coefficients, only the cache-masked caps
-    # change) — row 1's value-density sort is paid exactly once per
-    # solve, and every polish trial reuses it too.
+    # change with mu each iteration).  Row 1 orders primal recovery: its
+    # costs are the fixed priced coefficients, so its value-density sort
+    # is paid once per solve and every evaluated cache set reuses it.
     kw = ws.knapsack
     kw.bind_weights(view.demand)
     dual_costs, recovery_costs = ws.batch_costs
@@ -606,81 +627,56 @@ def _solve_items(
     kw.prepare_row(1, recovery_costs)
     prod = ws.prod
 
-    # The recovery row's costs (the priced coefficients) are fixed for
-    # the whole solve, so its paid prefix, greedy order and the caps
-    # gathered along it are hoisted here: evaluating a cache set is
-    # ``solve_row`` on the cache-masked caps, with the mask gathered
-    # along the hoisted order, and a polish trial only contributes its
-    # (F,)-sized cache mask, gathered from the tiny trial matrix instead
-    # of a (T, P) effective-caps build.
+    # Recovery's paid items, greedy order and caps are hoisted here.  An
+    # item of an uncached file has zero capacity: it adds an exact 0.0 to
+    # the greedy's sequential running sum and receives 0.0, so the greedy
+    # runs over the paid items of the cached files only.
     recovery_paid = int(kw.paid_count[1])
     recovery_order = kw.order[1, :recovery_paid]
     recovery_file = item_file.take(recovery_order)
     recovery_caps = caps.take(recovery_order)
     recovery_w = kw.w_sorted[1, :recovery_paid]
-
-    def recover(caching: np.ndarray) -> Tuple[np.ndarray, float]:
-        """Recovery evaluation of one cache set — the T=1 kernel."""
-        perf.count("knapsack.batched_rows")
-        allocation = kw.allocation[1]
-        allocation.fill(0.0)
-        if recovery_paid:
-            sorted_full = kw.sorted_full[1, :recovery_paid]
-            np.multiply(recovery_caps, caching.take(recovery_file), out=sorted_full)
-            np.multiply(sorted_full, recovery_w, out=sorted_full)
-            before = kw.before[1, :recovery_paid]
-            before[0] = 0.0
-            sorted_full[:-1].cumsum(out=before[1:])
-            take = kw.take[1, :recovery_paid]
-            np.subtract(bandwidth, before, out=take)
-            np.maximum(take, 0.0, out=take)
-            np.minimum(take, sorted_full, out=take)
-            positive = kw.positive[1, :recovery_paid]
-            np.greater(take, 0.0, out=positive)
-            vals = kw.vals[1, :recovery_paid]
-            vals.fill(0.0)
-            np.divide(take, recovery_w, out=vals, where=positive)
-            allocation[recovery_order] = vals
-        if kw.has_free(1):
-            free_cols = np.flatnonzero(kw.free[1])
-            allocation[free_cols] = caps[free_cols] * caching[item_file[free_cols]]
-        np.multiply(priced, allocation, out=prod)
-        return allocation, constant + float(np.add.reduce(prod))
-
-    def evaluate(caching: np.ndarray) -> Tuple[np.ndarray, float]:
-        allocation, cost = recover(caching)
-        return allocation.copy(), cost
+    free_cols = np.flatnonzero(kw.free[1]) if kw.has_free(1) else None
 
     def batch_evaluate(trials: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Recovered routings ``(T, P)`` (workspace views) and costs ``(T,)``
+        of ``T <= _TRIAL_CHUNK`` trial cache vectors."""
         count = trials.shape[0]
         perf.count("knapsack.batched_rows", count)
-        scratch = ws.trial_scratch
-        allocation = scratch.allocation[:count]
+        allocation, products = ws.trial_buffers(count)
         allocation.fill(0.0)
-        if recovery_paid:
-            sorted_full = scratch.sorted_full[:count, :recovery_paid]
-            # Same grouping as the scalar path: (cap * trial) * w.
-            np.multiply(recovery_caps, trials[:, recovery_file], out=sorted_full)
-            np.multiply(sorted_full, recovery_w, out=sorted_full)
-            before = scratch.before[:count, :recovery_paid]
-            before[:, 0] = 0.0
-            sorted_full[:, :-1].cumsum(axis=1, out=before[:, 1:])
-            take = scratch.take[:count, :recovery_paid]
-            np.subtract(bandwidth, before, out=take)
+        cached = np.take(trials.astype(bool), recovery_file, axis=1)
+        flat = cached.ravel().nonzero()[0]
+        if flat.size:
+            rows, positions = np.divmod(flat, recovery_paid)
+            # Each row's cached positions, left-aligned in greedy order in
+            # a (T, width) block; the zero padding behind them is never taken.
+            counts = np.bincount(rows, minlength=count)
+            width = int(counts.max())
+            shift = np.arange(0, count * width, width) - (np.cumsum(counts) - counts)
+            cell = np.arange(flat.size) + np.repeat(shift, counts)
+            load = np.zeros(count * width)
+            # Same grouping as the full greedy: (cap * trial) * w.
+            cached_caps = recovery_caps[positions] * trials[rows, recovery_file[positions]]
+            load[cell] = cached_caps * recovery_w[positions]
+            load = load.reshape(count, width)
+            take = np.zeros_like(load)
+            load[:, :-1].cumsum(axis=1, out=take[:, 1:])
+            np.subtract(bandwidth, take, out=take)
             np.maximum(take, 0.0, out=take)
-            np.minimum(take, sorted_full, out=take)
-            positive = scratch.positive[:count, :recovery_paid]
-            np.greater(take, 0.0, out=positive)
-            vals = scratch.vals[:count, :recovery_paid]
-            vals.fill(0.0)
-            np.divide(take, recovery_w, out=vals, where=positive)
-            allocation[:, recovery_order] = vals
-        if kw.has_free(1):
-            free_cols = np.flatnonzero(kw.free[1])
+            np.minimum(take, load, out=take)
+            taken = take.ravel()[cell]
+            vals = np.zeros(flat.size)
+            np.divide(taken, recovery_w[positions], out=vals, where=taken > 0.0)
+            np.put(allocation, rows * allocation.shape[1] + recovery_order[positions], vals)
+        if free_cols is not None:
             allocation[:, free_cols] = caps[free_cols] * trials[:, item_file[free_cols]]
-        products = ws.trial_prod[:count]
         np.multiply(allocation, priced, out=products)
         return allocation, constant + np.add.reduce(products, axis=1)
+
+    def evaluate(caching: np.ndarray) -> Tuple[np.ndarray, float]:
+        routings, costs = batch_evaluate(caching[np.newaxis])
+        return routings[0].copy(), float(costs[0])
 
     best_cost = np.inf
     best_caching: Optional[np.ndarray] = None
@@ -696,34 +692,30 @@ def _solve_items(
     # Row 0's caps never change during the ascent, so the greedy's
     # ``caps * weights`` products are computed exactly once.
     caps_weights = caps * view.demand
+    # Without prices, ``priced + mu`` is the dual row's costs themselves.
+    priced_mu = dual_costs if prices is None else ws.priced_mu
     best_dual = -np.inf
     dual_history = []
     stall = 0
     converged = False
-    # The recovery row depends only on the candidate cache set, and the
-    # dual iterates oscillate between a handful of sets: any set seen
-    # before is skipped outright — its evaluation is deterministic, and
-    # the strict < of the best-update means an equal cost never changes
-    # the incumbent.
-    seen_cache_sets: set = set()
+    # Primal recovery is deferred: the dual iterates never read the
+    # incumbent, so the ascent only records each distinct cache set in
+    # visit order (a dict keeps insertion order), and the sets are
+    # evaluated in batches after it.  Most iterations do bring a new set
+    # (80% on the city-sparse benchmark, 99% on dense-lppm), so batching,
+    # not skipping repeats, is what saves the per-iteration work.
+    visited: dict = {}
     for iteration in range(config.max_iter):
         aggregated = view.file_sums(mu)
         caching = _select_cache_set(num_files, capacity, aggregated, filler_order)
         np.add(coefficients, mu, out=dual_costs)
         if prices is not None:
             dual_costs += prices
+            np.add(priced, mu, out=priced_mu)
         kw.prepare_row(0, dual_costs)
         alloc0 = kw.solve_row_scaled(0, caps_weights, caps, bandwidth)
-        cache_key = caching.tobytes()
-        if cache_key not in seen_cache_sets:
-            seen_cache_sets.add(cache_key)
-            recovered_routing, recovered_cost = recover(caching)
-            if recovered_cost < best_cost:
-                best_cost = recovered_cost
-                best_caching = caching
-                best_routing = recovered_routing.copy()
-        np.add(priced, mu, out=ws.priced_mu)
-        np.multiply(ws.priced_mu, alloc0, out=prod)
+        visited[caching.nonzero()[0].tobytes()] = None
+        np.multiply(priced_mu, alloc0, out=prod)
         dual_value = (
             constant
             + float(np.add.reduce(prod))
@@ -742,6 +734,14 @@ def _solve_items(
         np.multiply(subgrad, schedule(iteration), out=subgrad)
         np.add(mu, subgrad, out=mu)
         np.maximum(mu, 0.0, out=mu)
+    # Each set holds min(capacity, F) files: the filler tops it up.  The
+    # candidate wins ties, then the earliest visited set.
+    cached_ids = np.frombuffer(b"".join(visited), dtype=np.intp)
+    sets = np.zeros((len(visited), num_files))
+    np.put_along_axis(sets, cached_ids.reshape(len(visited), min(capacity, num_files)), 1.0, 1)
+    found = _best_trial(sets, batch_evaluate, best_cost)
+    if found is not None:
+        best_caching, best_routing, best_cost = found
     perf.count("subgradient.iterations", len(dual_history))
 
     if best_caching is None or best_routing is None:  # pragma: no cover - max_iter >= 1

@@ -2,7 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from repro.core import subproblem
+from repro.core.problem import ProblemInstance
 from repro.core.subproblem import (
     SubproblemConfig,
     cache_subproblem,
@@ -68,6 +72,56 @@ class TestCacheSubproblem:
                 backend="simplex",
             )
             assert float(aggregated @ caching) == pytest.approx(-lp.objective, abs=1e-9)
+
+
+def stable_head_selection(num_files, capacity, aggregated, filler_order):
+    """The selection as a stable descending argsort: the positive part of
+    its first ``capacity`` entries, topped up along ``filler_order``."""
+    caching = np.zeros(num_files)
+    if capacity == 0:
+        return caching
+    head = np.argsort(-aggregated, kind="stable")[:capacity]
+    take = head[aggregated[head] > 0]
+    caching[take] = 1.0
+    if take.size < capacity and filler_order is not None:
+        taken = np.zeros(num_files, dtype=bool)
+        taken[take] = True
+        caching[filler_order[~taken[filler_order]][: capacity - take.size]] = 1.0
+    return caching
+
+
+@st.composite
+def selection_inputs(draw):
+    num_files = draw(st.integers(1, 12))
+    # A small pool of repeated values makes ties at the cut common.
+    value = st.sampled_from([-1.0, -0.0, 0.0, 0.5, 1.0, 2.0]) | st.floats(-3.0, 3.0)
+    aggregated = np.array(draw(st.lists(value, min_size=num_files, max_size=num_files)))
+    capacity = draw(st.integers(0, num_files + 2))
+    filler = draw(st.none() | st.permutations(range(num_files)).map(np.array))
+    return num_files, capacity, aggregated, filler
+
+
+class TestCacheSetSelection:
+    """``_select_cache_set`` against the stable-argsort head.  The batched
+    and legacy tiers share it, so their parity suite cannot catch a
+    selection bug."""
+
+    @given(selection_inputs())
+    @example((4, 2, np.array([1.0, 2.0, 1.0, 1.0]), None))  # ties at the cut
+    @example((5, 2, np.array([0.0, 3.0, -1.0, 0.0, 3.0]), np.array([2, 0, 4, 1, 3])))
+    @example((5, 3, np.array([0.0, -2.0, -0.0, -1.0, 0.0]), np.arange(5)[::-1]))
+    @example((3, 0, np.array([1.0, 2.0, 3.0]), np.arange(3)))  # capacity 0
+    @example((3, 5, np.array([1.0, -1.0, 0.0]), np.array([1, 2, 0])))  # capacity >= F
+    @example((4, 2, np.array([0.5, -1.0, 2.0, 0.0]), np.arange(4)))  # positives == capacity
+    @example((1, 1, np.array([0.0]), np.arange(1)))  # F = 1
+    @example((1, 1, np.array([-1.0]), None))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_stable_argsort_head(self, inputs):
+        num_files, capacity, aggregated, filler = inputs
+        np.testing.assert_array_equal(
+            subproblem._select_cache_set(num_files, capacity, aggregated, filler),
+            stable_head_selection(num_files, capacity, aggregated, filler),
+        )
 
 
 class TestRoutingSubproblem:
@@ -241,3 +295,54 @@ class TestFastOracleParity:
         again = solve_subproblem(other, 0, agg_other, workspace=workspace)
         assert again.cost == first.cost
         assert np.array_equal(again.routing, first.routing)
+
+
+class TestDeferredRecoveryTieOrder:
+    """Deferred recovery keeps the incumbent of the legacy tier's
+    sequential strict-``<`` scan when cache sets recover to equal cost."""
+
+    # One SBS, one group, four identical files and one cache slot: every
+    # single-file cache set recovers to exactly the same cost.
+    PROBLEM = ProblemInstance(
+        demand=np.full((1, 4), 2.0),
+        connectivity=np.ones((1, 1)),
+        cache_capacity=np.array([1.0]),
+        bandwidth=np.array([10.0]),
+        sbs_cost=np.ones((1, 1)),
+        bs_cost=np.array([5.0]),
+    )
+
+    @pytest.mark.parametrize("candidate", [None, 3])
+    @pytest.mark.parametrize("first_visit", [None, 2])
+    def test_equal_costs_keep_the_first_evaluated(self, monkeypatch, candidate, first_visit):
+        evaluated = []
+
+        def recording(problem, sbs, caching, *args):
+            routing, cost = evaluate(problem, sbs, caching, *args)
+            evaluated.append((int(np.flatnonzero(caching)[0]), cost))
+            return routing, cost
+
+        evaluate = subproblem._evaluate_cache_set
+        monkeypatch.setattr(subproblem, "_evaluate_cache_set", recording)
+        kwargs = {}
+        if candidate is not None:
+            kwargs["candidate_caching"] = np.eye(4)[candidate]
+        if first_visit is not None:
+            # A warm start that makes the first visited set the non-lowest file.
+            kwargs["initial_multipliers"] = 0.1 * np.eye(4)[first_visit][np.newaxis]
+        aggregate = np.zeros((1, 4))
+        legacy = solve_subproblem(
+            self.PROBLEM, 0, aggregate, SubproblemConfig(oracle="legacy", polish=False), **kwargs
+        )
+        batched = solve_subproblem(
+            self.PROBLEM, 0, aggregate, SubproblemConfig(polish=False), **kwargs
+        )
+        # The premise: the candidate and several visited sets all tie.
+        assert len({cost for _, cost in evaluated}) == 1
+        assert len({file for file, _ in evaluated}) == 4
+        expected = [candidate, first_visit, 0]
+        assert evaluated[0][0] == next(file for file in expected if file is not None)
+        np.testing.assert_array_equal(legacy.caching, np.eye(4)[evaluated[0][0]])
+        np.testing.assert_array_equal(batched.caching, legacy.caching)
+        np.testing.assert_array_equal(batched.routing, legacy.routing)
+        assert batched.cost == legacy.cost
